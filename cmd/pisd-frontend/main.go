@@ -216,59 +216,12 @@ func run() error {
 		}
 		return lingerIfObs(*obsAddr)
 	}
-	if len(addrs) > 1 {
-		if *attach {
-			return errors.New("-attach supports a single cloud server")
-		}
-		if err := runSharded(sf, ds, uploads, addrs, *k, *discover, *conns, *replicas, *probeIvl, *waves, servingCfg); err != nil {
-			return err
-		}
-		return lingerIfObs(*obsAddr)
+	if *attach && len(addrs) > 1 {
+		return errors.New("-attach supports a single cloud server")
 	}
-
-	client, err := pisd.DialCloud(addrs[0])
-	if err != nil {
+	if err := runSharded(sf, ds, uploads, addrs, *k, *discover, *conns, *replicas, *probeIvl, *waves, *attach, *users, servingCfg); err != nil {
 		return err
 	}
-	defer client.Close()
-
-	if *attach {
-		if err := sf.AttachSegmented(*users); err != nil {
-			return err
-		}
-		fmt.Printf("attached to segmented index over %d users at %s\n", *users, addrs[0])
-	} else {
-		buildStart := time.Now()
-		idx, encProfiles, err := sf.BuildIndex(uploads)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built secure index over %d users in %s (%.1f MB)\n",
-			len(uploads), time.Since(buildStart).Round(time.Millisecond),
-			float64(idx.SizeBytes())/(1<<20))
-		if err := client.InstallIndex(idx); err != nil {
-			return err
-		}
-		if err := client.PutProfiles(encProfiles); err != nil {
-			return err
-		}
-		fmt.Printf("outsourced index and %d encrypted profiles to %s\n", len(encProfiles), *cloudAddr)
-	}
-
-	targets, err := parseTargets(*discover, len(ds.Profiles))
-	if err != nil {
-		return err
-	}
-	serving, err := sf.NewServing(pisd.SingleFanout{S: client}, servingCfg)
-	if err != nil {
-		return err
-	}
-	if err := discoverServing(serving, ds, targets, *k); err != nil {
-		return err
-	}
-	sent, recv := client.Traffic()
-	fmt.Printf("\ntotal traffic: %.1f KB sent, %.1f KB received\n",
-		float64(sent)/1024, float64(recv)/1024)
 	return lingerIfObs(*obsAddr)
 }
 
@@ -286,12 +239,14 @@ func lingerIfObs(obsAddr string) error {
 	return nil
 }
 
-// runSharded is the multi-shard deployment path: one projected index per
-// partition, discoveries fanned out to all partitions in parallel. With
-// replicas > 1 the address list is grouped into consecutive runs of R
-// addresses; each run becomes one failover replica group behind the pool,
-// with a background health prober driving demotion and re-admission.
-func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, addrs []string, k int, discover string, conns, replicas int, probeIvl time.Duration, waves int, servingCfg pisd.ServingConfig) error {
+// runSharded is the static deployment path: one projected index per
+// partition, discoveries fanned out to all partitions in parallel; a
+// single cloud address is the one-partition case. With replicas > 1 the
+// address list is grouped into consecutive runs of R addresses; each run
+// becomes one failover replica group behind the pool, with a background
+// health prober driving demotion and re-admission. attach serves the
+// segmented index already at the (single) cloud instead of building one.
+func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, addrs []string, k int, discover string, conns, replicas int, probeIvl time.Duration, waves int, attach bool, users int, servingCfg pisd.ServingConfig) error {
 	partitions := len(addrs) / replicas
 	remotes := make([]*pisd.RemoteShard, len(addrs))
 	for i, addr := range addrs {
@@ -330,24 +285,31 @@ func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, a
 		return err
 	}
 
-	buildStart := time.Now()
-	shards, err := sf.BuildShardedIndex(uploads, partitions, nil)
-	if err != nil {
-		return err
-	}
-	var indexBytes int
-	for _, sh := range shards {
-		indexBytes += sh.Index.SizeBytes()
-	}
-	fmt.Printf("built %d-shard secure index over %d users in %s (%.1f MB total)\n",
-		len(shards), len(uploads), time.Since(buildStart).Round(time.Millisecond),
-		float64(indexBytes)/(1<<20))
-	for s, sh := range shards {
-		if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
+	if attach {
+		if err := sf.AttachSegmented(users); err != nil {
 			return err
 		}
-		fmt.Printf("shard %d: outsourced index and %d encrypted profiles to %s\n",
-			s, len(sh.EncProfiles), strings.Join(addrs[s*replicas:(s+1)*replicas], ","))
+		fmt.Printf("attached to segmented index over %d users at %s\n", users, addrs[0])
+	} else {
+		buildStart := time.Now()
+		shards, err := sf.BuildShardedIndex(uploads, partitions, nil)
+		if err != nil {
+			return err
+		}
+		var indexBytes int
+		for _, sh := range shards {
+			indexBytes += sh.Index.SizeBytes()
+		}
+		fmt.Printf("built %d-shard secure index over %d users in %s (%.1f MB total)\n",
+			len(shards), len(uploads), time.Since(buildStart).Round(time.Millisecond),
+			float64(indexBytes)/(1<<20))
+		for s, sh := range shards {
+			if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
+				return err
+			}
+			fmt.Printf("shard %d: outsourced index and %d encrypted profiles to %s\n",
+				s, len(sh.EncProfiles), strings.Join(addrs[s*replicas:(s+1)*replicas], ","))
+		}
 	}
 
 	targets, err := parseTargets(discover, len(ds.Profiles))

@@ -44,11 +44,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	client, err := pisd.DialCloud(addr)
+	// The front end drives the cloud as a one-node shard pool.
+	remote := pisd.NewRemoteShard(addr)
+	defer remote.Close()
+	pool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), remote)
 	if err != nil {
 		return err
 	}
-	defer client.Close()
 
 	ds, err := dataset.Generate(dataset.Config{
 		Users: 1000, Dim: 400, Topics: 12, TopicsPerUser: 2,
@@ -65,10 +67,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := client.InstallIndex(idx); err != nil {
-		return err
-	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := pool.InstallShard(0, idx, encProfiles); err != nil {
 		return err
 	}
 	fmt.Printf("outsourced index (%0.1f KB) and %d encrypted profiles over TCP\n",
@@ -76,6 +75,11 @@ func run() error {
 
 	// --- A user shares an encrypted image under an attribute policy and
 	//     uploads it directly to the cloud (service flow step 1).
+	client, err := pisd.DialCloud(addr)
+	if err != nil {
+		return err
+	}
+	defer client.Close()
 	authority, err := pisd.NewSharingAuthority()
 	if err != nil {
 		return err
@@ -102,12 +106,12 @@ func run() error {
 	fmt.Println("sharing policy enforced: friend decrypts, stranger denied")
 
 	// --- Remote privacy-preserving discovery, with traffic accounting.
-	sentBefore, recvBefore := client.Traffic()
-	matches, err := sf.Discover(client, ds.Profiles[4], 5, 5)
+	sentBefore, recvBefore := remote.Traffic()
+	matches, _, err := sf.Discover(context.Background(), pool, ds.Profiles[4], 5, 5)
 	if err != nil {
 		return err
 	}
-	sentAfter, recvAfter := client.Traffic()
+	sentAfter, recvAfter := remote.Traffic()
 	fmt.Printf("\ndiscovery for user 5 over TCP (%d B up, %d B down):\n",
 		sentAfter-sentBefore, recvAfter-recvBefore)
 	for rank, m := range matches {

@@ -89,7 +89,8 @@ func run() error {
 			s, len(sh.EncProfiles), float64(sh.Index.SizeBytes())/1024)
 	}
 
-	// --- Reference: the same dataset on a single in-process cloud node.
+	// --- Reference: the same dataset on a single in-process cloud node,
+	//     which is the one-shard pool.
 	single := pisd.NewCloud()
 	idx, encProfiles, err := sf.BuildIndex(uploads)
 	if err != nil {
@@ -97,14 +98,18 @@ func run() error {
 	}
 	single.SetIndex(idx)
 	single.PutProfiles(encProfiles)
-
-	// --- Fan-out discovery equals single-node discovery, user by user.
-	target := uploads[4].Profile
-	want, err := sf.Discover(single, target, topK, 5)
+	singlePool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), pisd.NewLocalShard(single))
 	if err != nil {
 		return err
 	}
-	got, partial, err := sf.DiscoverSharded(context.Background(), pool, target, topK, 5)
+
+	// --- Fan-out discovery equals single-node discovery, user by user.
+	target := uploads[4].Profile
+	want, _, err := sf.Discover(context.Background(), singlePool, target, topK, 5)
+	if err != nil {
+		return err
+	}
+	got, partial, err := sf.Discover(context.Background(), pool, target, topK, 5)
 	if err != nil {
 		return err
 	}
@@ -129,7 +134,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nshard %d killed\n", dead)
-	got, partial, err = sf.DiscoverSharded(context.Background(), pool, target, topK, 5)
+	got, partial, err = sf.Discover(context.Background(), pool, target, topK, 5)
 	if err != nil {
 		return err
 	}

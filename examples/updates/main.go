@@ -47,11 +47,14 @@ func run() error {
 	cs.SetDynIndex(dynIdx)
 	cs.PutProfiles(encProfiles)
 	fmt.Printf("dynamic index over %d users installed at the cloud\n", len(uploads))
+	// A single cloud is the one-shard case of the sharded dynamic search.
+	shards := []pisd.DynShard{{Client: dynClient}}
+	nodes := []pisd.DynNode{pisd.NewLocalShard(cs)}
 
 	// User 42's current interests.
 	const userID = 42
 	oldProfile := ds.Profiles[userID-1]
-	matches, err := sf.DynSearch(dynClient, cs, cs, oldProfile, 5, userID)
+	matches, _, err := sf.DynSearchSharded(shards, nodes, oldProfile, 5, userID)
 	if err != nil {
 		return err
 	}
@@ -77,7 +80,7 @@ func run() error {
 	}
 	cs.PutProfile(userID, ct)
 
-	matches, err = sf.DynSearch(dynClient, cs, cs, newProfile, 5, userID)
+	matches, _, err = sf.DynSearchSharded(shards, nodes, newProfile, 5, userID)
 	if err != nil {
 		return err
 	}

@@ -57,6 +57,16 @@ func TestFullSystemOverTCP(t *testing.T) {
 	}
 	defer client.Close()
 	client.SetTimeout(30 * time.Second)
+	// The front end drives the cloud as a one-node shard pool.
+	poolCfg := pisd.DefaultShardPoolConfig()
+	poolCfg.Timeout = 30 * time.Second
+	remote := pisd.NewRemoteShard(addr)
+	defer remote.Close()
+	pool, err := pisd.NewShardPool(poolCfg, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 
 	// --- Front end with compact (paper-sized) profiles.
 	cfg := pisd.DefaultFrontendConfig(dim)
@@ -121,14 +131,14 @@ func TestFullSystemOverTCP(t *testing.T) {
 	}
 
 	// --- Step 3: discovery variants.
-	matches, err := sf.Discover(client, ds.Profiles[0], 5, 1)
+	matches, _, err := sf.Discover(ctx, pool, ds.Profiles[0], 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(matches) == 0 {
 		t.Fatal("no remote matches")
 	}
-	mp, err := sf.DiscoverMultiProbe(client, ds.Profiles[0], 5, 1, 6)
+	mp, _, err := sf.DiscoverMultiProbe(ctx, pool, ds.Profiles[0], 5, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +148,10 @@ func TestFullSystemOverTCP(t *testing.T) {
 	graph := pisd.NewSocialGraph()
 	graph.AddFriendship(1, 2)
 	graph.AddFriendship(2, matches[0].ID)
-	if _, err := sf.DiscoverFoF(client, graph, 1, ds.Profiles[0], 5); err != nil {
+	if _, _, err := sf.DiscoverFoF(ctx, pool, graph, 1, ds.Profiles[0], 5); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := sf.DiscoverWithDecoys(client, [][]float64{ds.Profiles[0], ds.Profiles[1]}, 5, 3,
+	batch, _, err := sf.DiscoverWithDecoys(ctx, pool, [][]float64{ds.Profiles[0], ds.Profiles[1]}, 5, 3,
 		rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +217,11 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err := sf2.RestoreIndexParams(params); err != nil {
 		t.Fatal(err)
 	}
-	restoredMatches, err := sf2.Discover(cs2, ds.Profiles[0], 5, 1)
+	pool2, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), pisd.NewLocalShard(cs2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredMatches, _, err := sf2.Discover(ctx, pool2, ds.Profiles[0], 5, 1)
 	if err != nil {
 		t.Fatalf("discovery after full restart: %v", err)
 	}

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"pisd/internal/cloud"
 	"pisd/internal/frontend"
 	"pisd/internal/obs"
+	"pisd/internal/shard"
 	"pisd/internal/vec"
 )
 
@@ -119,11 +121,11 @@ func measureFallback(env *sweepEnv, cfg Config, rep *Report) error {
 
 // partitionDeployment is one partition's live slice of the measured
 // deployment: its own front end (keys + family) and in-process cloud
-// server with a private metrics registry.
+// server, served as a one-node pool, with a private metrics registry.
 type partitionDeployment struct {
-	fe  *frontend.Frontend
-	srv *cloud.Server
-	reg *obs.Registry
+	fe   *frontend.Frontend
+	pool *shard.Pool
+	reg  *obs.Registry
 }
 
 // measureCandidate builds candidate c's deployment over the sweep
@@ -162,7 +164,12 @@ func measureCandidate(env *sweepEnv, cfg Config, c Candidate) (*Measurement, err
 		srv.SetRegistry(reg)
 		srv.SetIndex(idx)
 		srv.PutProfiles(encProfiles)
-		deps[pi] = partitionDeployment{fe: fe, srv: srv, reg: reg}
+		pool, err := shard.NewPool(shard.DefaultConfig(), shard.NewLocal(srv))
+		if err != nil {
+			return nil, err
+		}
+		pool.SetRegistry(reg)
+		deps[pi] = partitionDeployment{fe: fe, pool: pool, reg: reg}
 		meas.IndexBytes += int64(idx.SizeBytes())
 	}
 	meas.BuildMS = float64(time.Since(buildStart).Microseconds()) / 1000
@@ -186,7 +193,7 @@ func measureCandidate(env *sweepEnv, cfg Config, c Candidate) (*Measurement, err
 	for qi, q := range env.queries {
 		merged := vec.NewTopK(cfg.K)
 		for pi := range deps {
-			matches, err := deps[pi].fe.Discover(deps[pi].srv, q, cfg.K, 0)
+			matches, _, err := deps[pi].fe.Discover(context.Background(), deps[pi].pool, q, cfg.K, 0)
 			if err != nil {
 				return nil, fmt.Errorf("discover partition %d: %w", pi, err)
 			}

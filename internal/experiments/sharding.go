@@ -98,14 +98,14 @@ func ExpSharding(s Scale) (*Table, error) {
 		candidates := 0
 		searchStart := time.Now()
 		for _, td := range tds {
-			ids, _, partial, err := pool.SecRec(context.Background(), td)
+			ids, _, partial, err := pool.SecRecBatch(context.Background(), []*core.Trapdoor{td})
 			if err != nil {
 				return nil, err
 			}
 			if partial {
 				return nil, fmt.Errorf("sharding S=%d: unexpected partial result", nShards)
 			}
-			candidates += len(ids)
+			candidates += len(ids[0])
 		}
 		searchMicros := float64(time.Since(searchStart).Microseconds()) / ops
 		if baseCandidates < 0 {

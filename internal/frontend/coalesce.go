@@ -12,7 +12,7 @@ import (
 // Coalescer folds concurrent single-query SecRec calls into shared
 // SecRecBatch fan-outs, so independent Discover callers amortize the
 // one-RPC-per-shard exchange that explicit batches already enjoy. It
-// implements FanoutServer over a FanoutBatchServer and is adaptive:
+// serves single trapdoors over a FanoutBatchServer and is adaptive:
 //
 //   - A call arriving at an idle coalescer dispatches immediately as a
 //     batch of one — a lone lockstep caller never pays the window.
@@ -66,7 +66,7 @@ func NewCoalescer(batch FanoutBatchServer, maxBatch int, window time.Duration) *
 	return &Coalescer{batch: batch, maxBatch: maxBatch, window: window}
 }
 
-// SecRec implements FanoutServer by riding a coalesced SecRecBatch flush.
+// SecRec resolves one trapdoor by riding a coalesced SecRecBatch flush.
 func (co *Coalescer) SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
 	call := &coalesceCall{t: t, done: make(chan coalesceResult, 1)}
 	co.mu.Lock()

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestDiscoverBatchEqualsSerial(t *testing.T) {
 	for i := range excludes {
 		excludes[i] = uint64(i + 1) // self-exclusion, like serial callers do
 	}
-	got, err := f.DiscoverBatch(cs, targets, k, excludes)
+	got, _, err := f.DiscoverBatch(context.Background(), single(t, cs), targets, k, excludes)
 	if err != nil {
 		t.Fatalf("DiscoverBatch: %v", err)
 	}
@@ -38,7 +39,7 @@ func TestDiscoverBatchEqualsSerial(t *testing.T) {
 		t.Fatalf("%d results for %d targets", len(got), len(targets))
 	}
 	for q, target := range targets {
-		want, err := f.Discover(cs, target, k, excludes[q])
+		want, _, err := f.Discover(context.Background(), single(t, cs), target, k, excludes[q])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,12 +49,12 @@ func TestDiscoverBatchEqualsSerial(t *testing.T) {
 	}
 
 	// Nil excludeIDs means no exclusion anywhere.
-	gotNoEx, err := f.DiscoverBatch(cs, targets[:3], k, nil)
+	gotNoEx, _, err := f.DiscoverBatch(context.Background(), single(t, cs), targets[:3], k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < 3; q++ {
-		want, err := f.Discover(cs, targets[q], k, 0)
+		want, _, err := f.Discover(context.Background(), single(t, cs), targets[q], k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +64,10 @@ func TestDiscoverBatchEqualsSerial(t *testing.T) {
 	}
 
 	// Validation paths.
-	if _, err := f.DiscoverBatch(cs, nil, k, nil); err == nil {
+	if _, _, err := f.DiscoverBatch(context.Background(), single(t, cs), nil, k, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := f.DiscoverBatch(cs, targets, k, excludes[:1]); err == nil {
+	if _, _, err := f.DiscoverBatch(context.Background(), single(t, cs), targets, k, excludes[:1]); err == nil {
 		t.Error("misaligned excludeIDs accepted")
 	}
 }

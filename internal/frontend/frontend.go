@@ -11,7 +11,6 @@ import (
 
 	"pisd/internal/core"
 	"pisd/internal/crypt"
-	"pisd/internal/fof"
 	"pisd/internal/lsh"
 	"pisd/internal/obs"
 	"pisd/internal/vec"
@@ -166,12 +165,6 @@ type Upload struct {
 type Match struct {
 	ID       uint64
 	Distance float64
-}
-
-// DiscoveryServer is the cloud surface the front end drives for static
-// discovery. cloud.Server and the transport client both implement it.
-type DiscoveryServer interface {
-	SecRec(t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, err error)
 }
 
 // Frontend is the trusted service front end.
@@ -391,98 +384,6 @@ func (f *Frontend) TrapdoorForMeta(meta lsh.Metadata) (*core.Trapdoor, error) {
 	return core.GenTpdr(f.keys, meta, f.params)
 }
 
-// Discover runs the full privacy-preserving discovery flow for a target
-// profile: trapdoor → SecRec at the cloud → decrypt matches → exact
-// distance ranking → top-k recommendations (GetRec). excludeID removes the
-// target's own identifier from the results (pass 0 to keep everything).
-func (f *Frontend) Discover(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	return f.discover(server, targetProfile, k, excludeID, nil)
-}
-
-// DiscoverTraced is Discover returning, alongside the matches, a per-query
-// trace with the latency of each stage (trapdoor, fanout, decrypt, rank).
-// The same stage durations feed the frontend.* histograms on every
-// discovery; the trace is the single-query view of that breakdown.
-func (f *Frontend) DiscoverTraced(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, *obs.Trace, error) {
-	tr := obs.NewTrace("discover")
-	matches, err := f.discover(server, targetProfile, k, excludeID, tr)
-	return matches, tr, err
-}
-
-func (f *Frontend) discover(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64, tr *obs.Trace) ([]Match, error) {
-	var sp obs.Span
-	sp.StartTraced(tr)
-	td, err := f.Trapdoor(targetProfile)
-	if err != nil {
-		return nil, err
-	}
-	sp.Mark("trapdoor", fmet.trapdoorNs)
-	ids, encProfiles, err := server.SecRec(td)
-	if err != nil {
-		return nil, fmt.Errorf("frontend: discovery request: %w", err)
-	}
-	sp.Mark("fanout", fmet.fanoutNs)
-	matches, err := f.rankSpanned(targetProfile, ids, encProfiles, k, excludeID, &sp)
-	if err != nil {
-		return nil, err
-	}
-	sp.Finish(fmet.discoverNs)
-	fmet.discoveries.Inc()
-	return matches, nil
-}
-
-// rank implements GetRec(K, M): decrypt the matched profiles and order by
-// Euclidean distance to the target.
-//
-// Decryption and distance evaluation — the expensive part — run in
-// parallel into a distance array aligned with ids; the top-k heap is then
-// fed serially in the original id order. Feeding the heap in order (rather
-// than merging per-worker heaps) keeps the output byte-identical to the
-// serial implementation even when candidates tie in distance.
-func (f *Frontend) rank(target []float64, ids []uint64, encProfiles [][]byte, k int, excludeID uint64) ([]Match, error) {
-	return f.rankSpanned(target, ids, encProfiles, k, excludeID, nil)
-}
-
-// rankSpanned is rank with an optional in-progress discovery span: the
-// decrypt+distance phase and the top-k phase are marked as separate
-// stages (sp may be nil).
-func (f *Frontend) rankSpanned(target []float64, ids []uint64, encProfiles [][]byte, k int, excludeID uint64, sp *obs.Span) ([]Match, error) {
-	if len(ids) != len(encProfiles) {
-		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
-	}
-	dists := make([]float64, len(ids))
-	skip := make([]bool, len(ids))
-	err := parallelFor(len(ids), func(i int) error {
-		if excludeID != 0 && ids[i] == excludeID {
-			skip[i] = true
-			return nil
-		}
-		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
-		if err != nil {
-			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
-		}
-		dists[i] = vec.Distance(target, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sp.Mark("decrypt", fmet.decryptNs)
-	tk := vec.NewTopK(k)
-	for i := range ids {
-		if !skip[i] {
-			tk.Offer(ids[i], dists[i])
-		}
-	}
-	scored := tk.Sorted()
-	out := make([]Match, len(scored))
-	for i, s := range scored {
-		out[i] = Match{ID: s.ID, Distance: s.Score}
-	}
-	sp.Mark("rank", fmet.rankNs)
-	return out, nil
-}
-
 // decryptProfiles decrypts a full candidate set into plaintext profile
 // vectors (parallel across candidates). The serving path decrypts once
 // on a cache miss and caches the plaintext: the frontend is trusted and
@@ -507,27 +408,43 @@ func (f *Frontend) decryptProfiles(ids []uint64, encProfiles [][]byte) ([][]floa
 	return vecs, nil
 }
 
-// rankPlain is rankSpanned over already-decrypted candidate vectors:
-// identical distance evaluation and in-order top-k feeding, so the
-// output is byte-identical to ranking the matching ciphertexts.
+// rankPlain implements GetRec(K, M) over decrypted candidate vectors:
+// exact distances to the target (the span's decrypt stage), then top-k
+// fed serially in candidate order (its rank stage), so ties resolve the
+// same way on every path. sp may be nil.
 func (f *Frontend) rankPlain(target []float64, ids []uint64, vecs [][]float64, k int, excludeID uint64, sp *obs.Span) ([]Match, error) {
 	if len(ids) != len(vecs) {
 		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(vecs))
 	}
-	dists := make([]float64, len(ids))
-	skip := make([]bool, len(ids))
-	for i := range ids {
-		if excludeID != 0 && ids[i] == excludeID {
+	dists, skip := score(target, ids, vecs, excludeID)
+	sp.Mark("decrypt", fmet.decryptNs)
+	out := topMatches(ids, dists, skip, k)
+	sp.Mark("rank", fmet.rankNs)
+	return out, nil
+}
+
+// score returns each candidate's distance to target, aligned with ids;
+// skip marks excludeID (0 excludes nothing).
+func score(target []float64, ids []uint64, vecs [][]float64, excludeID uint64) (dists []float64, skip []bool) {
+	dists = make([]float64, len(ids))
+	skip = make([]bool, len(ids))
+	for i, id := range ids {
+		if excludeID != 0 && id == excludeID {
 			skip[i] = true
 			continue
 		}
 		dists[i] = vec.Distance(target, vecs[i])
 	}
-	sp.Mark("decrypt", fmet.decryptNs)
+	return dists, skip
+}
+
+// topMatches keeps the k nearest scored candidates, feeding the top-k
+// heap in candidate order.
+func topMatches(ids []uint64, dists []float64, skip []bool, k int) []Match {
 	tk := vec.NewTopK(k)
-	for i := range ids {
+	for i, id := range ids {
 		if !skip[i] {
-			tk.Offer(ids[i], dists[i])
+			tk.Offer(id, dists[i])
 		}
 	}
 	scored := tk.Sorted()
@@ -535,55 +452,7 @@ func (f *Frontend) rankPlain(target []float64, ids []uint64, vecs [][]float64, k
 	for i, s := range scored {
 		out[i] = Match{ID: s.ID, Distance: s.Score}
 	}
-	sp.Mark("rank", fmet.rankNs)
-	return out, nil
-}
-
-// DiscoverFoF is Discover followed by friend-of-friend boosting: among the
-// distance-ranked candidates, friends-of-friends of the target user are
-// promoted (Sec. III-C).
-func (f *Frontend) DiscoverFoF(server DiscoveryServer, graph *fof.Graph, targetID uint64, targetProfile []float64, k int) ([]Match, error) {
-	matches, err := f.Discover(server, targetProfile, k*2, targetID)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint64, len(matches))
-	byID := make(map[uint64]Match, len(matches))
-	for i, m := range matches {
-		ids[i] = m.ID
-		byID[m.ID] = m
-	}
-	boosted := graph.Boost(targetID, ids)
-	if len(boosted) > k {
-		boosted = boosted[:k]
-	}
-	out := make([]Match, len(boosted))
-	for i, id := range boosted {
-		out[i] = byID[id]
-	}
-	return out, nil
-}
-
-// DynSearch runs discovery against a dynamic index: the client recovers
-// candidate ids from the bucket store, then fetches and ranks their
-// encrypted profiles.
-func (f *Frontend) DynSearch(client *core.DynClient, store core.BucketStore, fetch ProfileFetcher, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	var sp obs.Span
-	sp.Start()
-	ids, err := client.Search(store, f.family.Hash(targetProfile))
-	if err != nil {
-		return nil, fmt.Errorf("frontend: dynamic search: %w", err)
-	}
-	encProfiles, err := fetch.FetchProfiles(ids)
-	if err != nil {
-		return nil, fmt.Errorf("frontend: fetch profiles: %w", err)
-	}
-	matches, err := f.rank(targetProfile, ids, encProfiles, k, excludeID)
-	if err != nil {
-		return nil, err
-	}
-	sp.Finish(fmet.dynNs)
-	return matches, nil
+	return out
 }
 
 // ProfileFetcher is the cloud surface returning encrypted profiles by id.

@@ -1,7 +1,9 @@
 package frontend
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pisd/internal/cloud"
@@ -9,6 +11,7 @@ import (
 	"pisd/internal/dataset"
 	"pisd/internal/fof"
 	"pisd/internal/lsh"
+	"pisd/internal/shard"
 	"pisd/internal/vec"
 )
 
@@ -43,6 +46,17 @@ func uploadsFrom(ds *dataset.Dataset, f *Frontend) []Upload {
 		ups[i] = Upload{ID: uint64(i + 1), Profile: p, Meta: f.ComputeMeta(p)}
 	}
 	return ups
+}
+
+// single serves one in-process cloud as the one-node pool every static
+// discovery drives.
+func single(t *testing.T, cs *cloud.Server) *shard.Pool {
+	t.Helper()
+	pool, err := shard.NewPool(shard.DefaultConfig(), shard.NewLocal(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -94,7 +108,7 @@ func TestEndToEndDiscovery(t *testing.T) {
 	// Discovery for an indexed user must surface the user themself at
 	// distance zero when not excluded.
 	target := ds.Profiles[3]
-	matches, err := f.Discover(cs, target, 5, 0)
+	matches, _, err := f.Discover(context.Background(), single(t, cs), target, 5, 0)
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -105,7 +119,7 @@ func TestEndToEndDiscovery(t *testing.T) {
 		t.Errorf("self match missing: got %+v", matches[0])
 	}
 	// With exclusion, the self id must vanish.
-	matches, err = f.Discover(cs, target, 5, 4)
+	matches, _, err = f.Discover(context.Background(), single(t, cs), target, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +156,7 @@ func TestDiscoveryFindsTopicPeers(t *testing.T) {
 	queries, queryTopics := ds.Queries(20, 99)
 	sharedTop, totalTop := 0, 0
 	for qi, q := range queries {
-		matches, err := f.Discover(cs, q, 5, 0)
+		matches, _, err := f.Discover(context.Background(), single(t, cs), q, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +228,7 @@ func TestDiscoverFoFBoostsSocialties(t *testing.T) {
 	cs.PutProfiles(encProfiles)
 
 	target := uint64(10)
-	plain, err := f.Discover(cs, ds.Profiles[9], 10, target)
+	plain, _, err := f.Discover(context.Background(), single(t, cs), ds.Profiles[9], 10, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +241,7 @@ func TestDiscoverFoFBoostsSocialties(t *testing.T) {
 	g.AddFriendship(target, bridge)
 	g.AddFriendship(bridge, plain[len(plain)-1].ID)
 
-	boosted, err := f.DiscoverFoF(cs, g, target, ds.Profiles[9], len(plain))
+	boosted, _, err := f.DiscoverFoF(context.Background(), single(t, cs), g, target, ds.Profiles[9], len(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +271,10 @@ func TestDynamicFlow(t *testing.T) {
 	cs.PutProfiles(encProfiles)
 
 	target := ds.Profiles[7]
-	matches, err := f.DynSearch(client, cs, cs, target, 5, 0)
+	shards, nodes := []DynShard{{Client: client}}, []DynNode{shard.NewLocal(cs)}
+	matches, _, err := f.DynSearchSharded(shards, nodes, target, 5, 0)
 	if err != nil {
-		t.Fatalf("DynSearch: %v", err)
+		t.Fatalf("DynSearchSharded: %v", err)
 	}
 	if len(matches) == 0 || matches[0].ID != 8 {
 		t.Fatalf("dynamic search did not find self: %+v", matches)
@@ -281,7 +296,7 @@ func TestDynamicFlow(t *testing.T) {
 	}
 	cs.PutProfile(8, ct)
 
-	matches, err = f.DynSearch(client, cs, cs, newProfile, 5, 0)
+	matches, _, err = f.DynSearchSharded(shards, nodes, newProfile, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +381,7 @@ func TestDiscoverBatchWithDecoys(t *testing.T) {
 
 	targets := [][]float64{ds.Profiles[0], ds.Profiles[1], ds.Profiles[2]}
 	rng := rand.New(rand.NewSource(5))
-	results, err := f.DiscoverWithDecoys(cs, targets, 5, 7, rng)
+	results, _, err := f.DiscoverWithDecoys(context.Background(), single(t, cs), targets, 5, 7, rng)
 	if err != nil {
 		t.Fatalf("DiscoverWithDecoys: %v", err)
 	}
@@ -375,7 +390,7 @@ func TestDiscoverBatchWithDecoys(t *testing.T) {
 	}
 	// Batched results must equal unbatched discovery per target.
 	for i, target := range targets {
-		plain, err := f.Discover(cs, target, 5, 0)
+		plain, _, err := f.Discover(context.Background(), single(t, cs), target, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,15 +404,141 @@ func TestDiscoverBatchWithDecoys(t *testing.T) {
 		}
 	}
 	// Validation paths.
-	if _, err := f.DiscoverWithDecoys(cs, nil, 5, 0, rng); err == nil {
+	if _, _, err := f.DiscoverWithDecoys(context.Background(), single(t, cs), nil, 5, 0, rng); err == nil {
 		t.Error("empty targets accepted")
 	}
-	if _, err := f.DiscoverWithDecoys(cs, targets, 5, -1, rng); err == nil {
+	if _, _, err := f.DiscoverWithDecoys(context.Background(), single(t, cs), targets, 5, -1, rng); err == nil {
 		t.Error("negative decoys accepted")
 	}
 	// Nil rng uses a default.
-	if _, err := f.DiscoverWithDecoys(cs, targets[:1], 3, 2, nil); err != nil {
+	if _, _, err := f.DiscoverWithDecoys(context.Background(), single(t, cs), targets[:1], 3, 2, nil); err != nil {
 		t.Errorf("nil rng: %v", err)
+	}
+}
+
+// recordingFanout records every trapdoor batch it forwards.
+type recordingFanout struct {
+	inner   FanoutBatchServer
+	mu      sync.Mutex
+	batches [][]*core.Trapdoor
+}
+
+func (r *recordingFanout) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	r.mu.Lock()
+	r.batches = append(r.batches, ts)
+	r.mu.Unlock()
+	return r.inner.SecRecBatch(ctx, ts)
+}
+
+// TestDiscoverWithDecoysFreshPerCall pins the decoy mitigation: with a
+// nil rng every call draws new decoys, so the cloud cannot strip them by
+// spotting trapdoors that repeat across rounds. Each call is also one
+// batch carrying the target and its decoys together.
+func TestDiscoverWithDecoysFreshPerCall(t *testing.T) {
+	const n, decoys = 200, 4
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := testPopulation(t, n)
+	idx, encProfiles, err := f.BuildIndex(uploadsFrom(ds, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cloud.New()
+	cs.SetIndex(idx)
+	cs.PutProfiles(encProfiles)
+	rec := &recordingFanout{inner: single(t, cs)}
+
+	target := ds.Profiles[0]
+	for call := 0; call < 2; call++ {
+		if _, _, err := f.DiscoverWithDecoys(context.Background(), rec, [][]float64{target}, 5, decoys, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rec.batches) != 2 {
+		t.Fatalf("2 calls sent %d batches, want one each", len(rec.batches))
+	}
+	real, err := f.Trapdoor(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	realKey := trapdoorKey(real)
+	sentBy := make(map[CacheKey]int)
+	for call, batch := range rec.batches {
+		if len(batch) != 1+decoys {
+			t.Fatalf("call %d sent %d trapdoors, want %d", call, len(batch), 1+decoys)
+		}
+		for _, td := range batch {
+			key := trapdoorKey(td)
+			if key == realKey {
+				continue
+			}
+			if prev, dup := sentBy[key]; dup {
+				t.Fatalf("call %d resent a decoy trapdoor of call %d", call, prev)
+			}
+			sentBy[key] = call
+		}
+	}
+	if len(sentBy) != 2*decoys {
+		t.Fatalf("%d distinct decoys over 2 calls, want %d", len(sentBy), 2*decoys)
+	}
+}
+
+// TestDiscoverMultiProbeDeterministic pins multi-probe ranking to the one
+// ranker: with 12 users sharing one profile every candidate ties, and the
+// top-k must still be the same on every call (first-seen order), while
+// variants = 0 must equal Discover slot-exactly.
+func TestDiscoverMultiProbeDeterministic(t *testing.T) {
+	const n, twins, k = 300, 12, 3
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := testPopulation(t, n)
+	for i := 1; i < twins; i++ {
+		ds.Profiles[i] = ds.Profiles[0]
+	}
+	idx, encProfiles, err := f.BuildIndex(uploadsFrom(ds, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := cloud.New()
+	cs.SetIndex(idx)
+	cs.PutProfiles(encProfiles)
+	pool := single(t, cs)
+	ctx := context.Background()
+
+	first, _, err := f.DiscoverMultiProbe(ctx, pool, ds.Profiles[0], k, 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != k {
+		t.Fatalf("multi-probe returned %d matches, want %d", len(first), k)
+	}
+	for call := 1; call < 50; call++ {
+		got, _, err := f.DiscoverMultiProbe(ctx, pool, ds.Profiles[0], k, 0, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := EqualMatches(got, first); err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+	}
+
+	queries, _ := ds.Queries(10, 5)
+	for qi, q := range append(queries, ds.Profiles[0]) {
+		want, _, err := f.Discover(ctx, pool, q, 7, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := f.DiscoverMultiProbe(ctx, pool, q, 7, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := EqualMatches(got, want); err != nil {
+			t.Fatalf("query %d: variants = 0 differs from Discover: %v", qi, err)
+		}
 	}
 }
 
@@ -419,11 +560,11 @@ func TestDiscoverMultiProbeImprovesRecall(t *testing.T) {
 	queries, _ := ds.Queries(15, 42)
 	var plainSum, mpSum float64
 	for _, q := range queries {
-		plain, err := f.Discover(cs, q, 10, 0)
+		plain, _, err := f.Discover(context.Background(), single(t, cs), q, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp, err := f.DiscoverMultiProbe(cs, q, 10, 0, 8)
+		mp, _, err := f.DiscoverMultiProbe(context.Background(), single(t, cs), q, 10, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +583,7 @@ func TestDiscoverMultiProbeImprovesRecall(t *testing.T) {
 	if mpSum > plainSum+1e-9 {
 		t.Errorf("multi-probe distances %.4f worse than plain %.4f", mpSum, plainSum)
 	}
-	if _, err := f.DiscoverMultiProbe(cs, queries[0], 5, 0, -1); err == nil {
+	if _, _, err := f.DiscoverMultiProbe(context.Background(), single(t, cs), queries[0], 5, 0, -1); err == nil {
 		t.Error("negative variants accepted")
 	}
 }
@@ -469,7 +610,7 @@ func TestCompactProfilesFlow(t *testing.T) {
 	cs := cloud.New()
 	cs.SetIndex(idx)
 	cs.PutProfiles(encProfiles)
-	matches, err := f.Discover(cs, ds.Profiles[0], 5, 0)
+	matches, _, err := f.Discover(context.Background(), single(t, cs), ds.Profiles[0], 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +654,7 @@ func TestKeyPersistenceAcrossRestart(t *testing.T) {
 	if err := f2.RestoreIndexParams(params); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := f2.Discover(cs, ds.Profiles[3], 5, 0)
+	matches, _, err := f2.Discover(context.Background(), single(t, cs), ds.Profiles[3], 5, 0)
 	if err != nil {
 		t.Fatalf("Discover after restart: %v", err)
 	}

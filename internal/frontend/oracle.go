@@ -115,8 +115,8 @@ func (o *Oracle) Candidates(target []float64) []uint64 {
 	return out
 }
 
-// Discover is the plaintext reference for Discover / DiscoverSharded /
-// DiscoverBatch on a healthy deployment: candidates from the mirror,
+// Discover is the plaintext reference for Discover / DiscoverBatch /
+// Serving.Discover on a healthy deployment: candidates from the mirror,
 // exact distances, top-k in candidate order.
 func (o *Oracle) Discover(target []float64, k int, excludeID uint64) []Match {
 	return o.rankIDs(target, o.Candidates(target), k, excludeID, nil)

@@ -34,7 +34,7 @@ func TestOracleMatchesDiscoverExactly(t *testing.T) {
 	for q := 0; q < 40; q++ {
 		target := ds.Profiles[q%n]
 		exclude := uint64(q%n + 1)
-		got, err := f.Discover(cs, target, 7, exclude)
+		got, _, err := f.Discover(context.Background(), single(t, cs), target, 7, exclude)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestOracleMatchesDiscoverExactly(t *testing.T) {
 	victim := uint64(1)
 	cs.DeleteProfile(victim)
 	oracle.RemoveProfile(victim)
-	got, err := f.Discover(cs, ds.Profiles[0], 7, 0)
+	got, _, err := f.Discover(context.Background(), single(t, cs), ds.Profiles[0], 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestOracleMatchesShardedPartialSubsets(t *testing.T) {
 		nodes[s].PutProfiles(built[s].EncProfiles)
 	}
 
-	// subsetPool serves SecRec from an arbitrary alive-set of local
+	// subsetPool serves SecRecBatch from an arbitrary alive-set of local
 	// shards, merging shard-major like shard.Pool does.
 	for mask := 1; mask < 1<<shards; mask++ {
 		alive := func(id uint64) bool { return mask&(1<<(id%shards)) != 0 }
 		pool := subsetPool{nodes: nodes, mask: mask}
 		for q := 0; q < 10; q++ {
 			target := ds.Profiles[(mask*13+q)%n]
-			got, _, err := f.DiscoverSharded(context.Background(), pool, target, 6, 0)
+			got, _, err := f.Discover(context.Background(), pool, target, 6, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,19 +113,21 @@ type subsetPool struct {
 	mask  int
 }
 
-func (p subsetPool) SecRec(ctx context.Context, td *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
-	var ids []uint64
-	var profiles [][]byte
+func (p subsetPool) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids := make([][]uint64, len(ts))
+	profiles := make([][][]byte, len(ts))
 	for s, node := range p.nodes {
 		if p.mask&(1<<s) == 0 {
 			continue
 		}
-		sids, sprofiles, err := node.SecRec(td)
+		sids, sprofiles, err := node.SecRecBatch(ts)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		ids = append(ids, sids...)
-		profiles = append(profiles, sprofiles...)
+		for q := range ts {
+			ids[q] = append(ids[q], sids[q]...)
+			profiles[q] = append(profiles[q], sprofiles[q]...)
+		}
 	}
 	return ids, profiles, p.mask != 1<<len(p.nodes)-1, nil
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"testing"
 
 	"pisd/internal/cloud"
@@ -161,7 +162,7 @@ func TestAttachSegmentedServesDiscovery(t *testing.T) {
 	if err := attached.AttachSegmented(n); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := attached.Discover(cs, ds.Profiles[0], 5, 1)
+	matches, _, err := attached.Discover(context.Background(), single(t, cs), ds.Profiles[0], 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,7 @@ type Serving struct {
 }
 
 // NewServing builds the serving path over a sharded fan-out (shard.Pool
-// implements FanoutBatchServer; wrap a single cloud server or transport
-// client with SingleFanout).
+// implements FanoutBatchServer; a single cloud is a one-node pool).
 func (f *Frontend) NewServing(pool FanoutBatchServer, cfg ServingConfig) (*Serving, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("frontend: serving needs a fan-out server")
@@ -73,7 +72,7 @@ func (s *Serving) Cache() *ResultCache { return s.cache }
 
 // Discover runs one discovery through the serving path: admission →
 // trapdoor → cache → coalesced fan-out → decrypt → exact distance
-// ranking. The matches are byte-identical to DiscoverSharded over the
+// ranking. The matches are byte-identical to Frontend.Discover over the
 // same healthy shards: a cache hit replays the exact candidate set the
 // cloud returned for this trapdoor, and ranking is deterministic.
 // Overload returns ErrOverloaded before any work is done.
@@ -125,19 +124,6 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 		fmet.partials.Inc()
 	}
 	return matches, partial, nil
-}
-
-// SingleFanout adapts a single-node batch server (cloud.Server or a
-// transport.Client) to the FanoutBatchServer surface the serving path
-// drives: no shards means never partial.
-type SingleFanout struct {
-	S BatchDiscoveryServer
-}
-
-// SecRecBatch implements FanoutBatchServer.
-func (a SingleFanout) SecRecBatch(_ context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
-	ids, profiles, err := a.S.SecRecBatch(ts)
-	return ids, profiles, false, err
 }
 
 // DynServing is the dynamic scheme's cached serving path: searches are
@@ -287,9 +273,10 @@ func (n invalidatingNode) StoreBuckets(refs []core.BucketRef, buckets []core.Dyn
 	return n.DynNode.StoreBuckets(refs, buckets)
 }
 
-// dynSearchMerged is DynSearchSharded up to (but not including) ranking:
-// it returns the merged candidate ids and encrypted profiles, which is
-// the cacheable unit (one entry serves every k and excludeID).
+// dynSearchMerged is DynSearchSharded up to (but not including)
+// decryption and ranking: it returns the merged candidate ids and
+// encrypted profiles, which is the cacheable unit (one entry serves every
+// k and excludeID).
 func (f *Frontend) dynSearchMerged(shards []DynShard, nodes []DynNode, meta lsh.Metadata) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
 	type result struct {
 		ids      []uint64

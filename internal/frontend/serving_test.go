@@ -50,7 +50,7 @@ func servingFixture(t *testing.T, n int) (*Frontend, []Upload, *shard.Pool, [][]
 
 // TestServingCoalescerEquivalence is the coalescer's headline contract:
 // concurrent Discover calls folded into shared SecRecBatch flushes return
-// byte-identical matches to serial DiscoverSharded. Runs with the cache
+// byte-identical matches to serial Discover. Runs with the cache
 // disabled so every call actually rides a flush; `go test -race` makes
 // this double as the coalescer's concurrency check.
 func TestServingCoalescerEquivalence(t *testing.T) {
@@ -66,7 +66,7 @@ func TestServingCoalescerEquivalence(t *testing.T) {
 	}
 	want := make([][]Match, queries)
 	for i := range targets {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, targets[i], k, excludes[i])
+		m, partial, err := f.Discover(context.Background(), pool, targets[i], k, excludes[i])
 		if err != nil || partial {
 			t.Fatalf("serial discover %d: partial=%v err=%v", i, partial, err)
 		}
@@ -161,7 +161,7 @@ func TestServingCoalescerEquivalenceFaultyLatency(t *testing.T) {
 	targets, _ := ds.Queries(queries, 3)
 	want := make([][]Match, queries)
 	for i, q := range targets {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, q, k, 0)
+		m, partial, err := f.Discover(context.Background(), pool, q, k, 0)
 		if err != nil || partial {
 			t.Fatalf("clean serial discover %d: partial=%v err=%v", i, partial, err)
 		}

@@ -82,7 +82,7 @@ func TestBuildShardedIndexRejectsBadInput(t *testing.T) {
 	}
 }
 
-// fanoutStub implements FanoutServer with canned results.
+// fanoutStub implements FanoutBatchServer with one canned result.
 type fanoutStub struct {
 	ids      []uint64
 	profiles [][]byte
@@ -90,12 +90,12 @@ type fanoutStub struct {
 	err      error
 }
 
-func (s *fanoutStub) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
-	return s.ids, s.profiles, s.partial, s.err
+func (s *fanoutStub) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	return [][]uint64{s.ids}, [][][]byte{s.profiles}, s.partial, s.err
 }
 
 // TestDiscoverShardedPropagatesPartial checks that the partial flag and
-// fan-out errors surface through DiscoverSharded.
+// fan-out errors surface through Discover.
 func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 	const n = 60
 	f, err := New(testConfig())
@@ -113,9 +113,9 @@ func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := &fanoutStub{ids: []uint64{2}, profiles: [][]byte{ct}, partial: true}
-	matches, partial, err := f.DiscoverSharded(context.Background(), stub, ds.Profiles[0], 5, 0)
+	matches, partial, err := f.Discover(context.Background(), stub, ds.Profiles[0], 5, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if !partial {
 		t.Fatal("partial flag dropped")
@@ -125,7 +125,7 @@ func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 	}
 
 	stub.err = errors.New("all shards failed")
-	if _, _, err := f.DiscoverSharded(context.Background(), stub, ds.Profiles[0], 5, 0); err == nil {
+	if _, _, err := f.Discover(context.Background(), stub, ds.Profiles[0], 5, 0); err == nil {
 		t.Fatal("fan-out error swallowed")
 	}
 }

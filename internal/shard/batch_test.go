@@ -5,11 +5,13 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"pisd/internal/core"
 )
 
 // TestSecRecBatchEqualsSerialFanout checks the batched fan-out against the
 // per-query fan-out: with every shard alive, result q of one SecRecBatch
-// must equal SecRec(ts[q]) exactly.
+// must equal a batch of one for ts[q] exactly.
 func TestSecRecBatchEqualsSerialFanout(t *testing.T) {
 	const n, shards = 300, 4
 
@@ -33,17 +35,17 @@ func TestSecRecBatchEqualsSerialFanout(t *testing.T) {
 		t.Fatalf("batch of %d answered with %d/%d results", len(tds), len(ids), len(profiles))
 	}
 	for q, td := range tds {
-		wantIDs, wantProfiles, partial, err := pool.SecRec(context.Background(), td)
+		wantIDs, wantProfiles, partial, err := pool.SecRecBatch(context.Background(), []*core.Trapdoor{td})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if partial {
 			t.Fatal("unexpected partial serial result")
 		}
-		if !reflect.DeepEqual(ids[q], wantIDs) {
-			t.Fatalf("query %d ids: %v, want %v", q, ids[q], wantIDs)
+		if !reflect.DeepEqual(ids[q], wantIDs[0]) {
+			t.Fatalf("query %d ids: %v, want %v", q, ids[q], wantIDs[0])
 		}
-		if !reflect.DeepEqual(profiles[q], wantProfiles) {
+		if !reflect.DeepEqual(profiles[q], wantProfiles[0]) {
 			t.Fatalf("query %d profiles differ from serial fan-out", q)
 		}
 	}
@@ -70,9 +72,9 @@ func TestBatchPartialOnDeadShard(t *testing.T) {
 	shutdownServer(t, servers[dead])
 
 	queries, _ := ds.Queries(6, 17)
-	got, partial, err := f.DiscoverShardedBatch(context.Background(), pool, queries, n+1, nil)
+	got, partial, err := f.DiscoverBatch(context.Background(), pool, queries, n+1, nil)
 	if err != nil {
-		t.Fatalf("DiscoverShardedBatch: %v", err)
+		t.Fatalf("DiscoverBatch: %v", err)
 	}
 	if !partial {
 		t.Fatal("expected partial result with a dead shard")
@@ -81,9 +83,9 @@ func TestBatchPartialOnDeadShard(t *testing.T) {
 		t.Fatalf("%d results for %d queries", len(got), len(queries))
 	}
 	for qi, q := range queries {
-		want, wantPartial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+		want, wantPartial, err := f.Discover(context.Background(), pool, q, n+1, 0)
 		if err != nil {
-			t.Fatalf("query %d: DiscoverSharded: %v", qi, err)
+			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
 		if !wantPartial {
 			t.Fatalf("query %d: serial reference not partial", qi)
@@ -119,7 +121,7 @@ func TestBatchAllShardsDeadErrors(t *testing.T) {
 		shutdownServer(t, srv)
 	}
 	queries, _ := ds.Queries(2, 3)
-	if _, _, err := f.DiscoverShardedBatch(context.Background(), pool, queries, 10, nil); err == nil {
+	if _, _, err := f.DiscoverBatch(context.Background(), pool, queries, 10, nil); err == nil {
 		t.Fatal("expected error with every shard dead")
 	}
 }

@@ -17,13 +17,13 @@ func BenchmarkPoolSecRec(b *testing.B) {
 			uploads, ds := testUploads(b, f, 300)
 			pool := localPool(b, f, uploads, shards)
 			queries, _ := ds.Queries(1, 17)
-			td, err := f.Trapdoor(queries[0])
+			tds, err := f.Trapdoors(queries)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := pool.SecRec(context.Background(), td); err != nil {
+				if _, _, _, err := pool.SecRecBatch(context.Background(), tds); err != nil {
 					b.Fatal(err)
 				}
 			}

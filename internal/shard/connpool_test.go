@@ -157,9 +157,9 @@ func TestRemotePooledConnFaultNoPartial(t *testing.T) {
 	}
 
 	// Healthy baselines.
-	wantIDs, wantProfiles, partial, err := pool.SecRec(context.Background(), tds[0])
+	wantIDs, wantProfiles, partial, err := pool.SecRecBatch(context.Background(), tds[:1])
 	if err != nil || partial {
-		t.Fatalf("healthy SecRec: partial=%v err=%v", partial, err)
+		t.Fatalf("healthy single-query SecRecBatch: partial=%v err=%v", partial, err)
 	}
 	wantBatchIDs, wantBatchProfiles, partial, err := pool.SecRecBatch(context.Background(), tds)
 	if err != nil || partial {
@@ -168,15 +168,15 @@ func TestRemotePooledConnFaultNoPartial(t *testing.T) {
 
 	// Kill one pooled connection under a single-query fan-out.
 	fn.FailNextWrites("shard0", 1)
-	ids, profiles, partial, err := pool.SecRec(context.Background(), tds[0])
+	ids, profiles, partial, err := pool.SecRecBatch(context.Background(), tds[:1])
 	if err != nil {
-		t.Fatalf("SecRec with one dead pooled conn: %v", err)
+		t.Fatalf("single-query SecRecBatch with one dead pooled conn: %v", err)
 	}
 	if partial {
-		t.Fatal("SecRec degraded to partial after a single pooled connection died")
+		t.Fatal("single-query SecRecBatch degraded to partial after a single pooled connection died")
 	}
 	if !reflect.DeepEqual(ids, wantIDs) || !reflect.DeepEqual(profiles, wantProfiles) {
-		t.Fatal("SecRec result diverged after pooled connection fault")
+		t.Fatal("single-query SecRecBatch result diverged after pooled connection fault")
 	}
 
 	// Same mid-batch: one connection dies under SecRecBatch.

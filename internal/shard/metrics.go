@@ -14,7 +14,7 @@ import (
 // including the derived "shard.<i>.secrec_p99_ns" latency keys. A nil
 // *poolMetrics (pool built against a nil registry) is the disabled mode.
 type poolMetrics struct {
-	fanouts  *obs.Counter // fan-out operations issued (SecRec + SecRecBatch)
+	fanouts  *obs.Counter // fan-out operations issued (SecRecBatch)
 	partials *obs.Counter // fan-outs that returned degraded/partial results
 	fanoutNs *obs.Histogram
 

@@ -32,10 +32,8 @@ import (
 type Node interface {
 	// Ping checks shard liveness.
 	Ping(ctx context.Context) error
-	// SecRec runs one discovery leg against the shard's index.
-	SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, err error)
-	// SecRecBatch runs a batch of discovery legs in one exchange; result q
-	// matches what SecRec would return for ts[q].
+	// SecRecBatch runs a batch of discovery legs in one exchange, one
+	// result per trapdoor.
 	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, err error)
 	// FetchProfiles returns encrypted profiles stored on this shard.
 	FetchProfiles(ids []uint64) ([][]byte, error)
@@ -106,14 +104,6 @@ func (l Local) Ping(ctx context.Context) error {
 		return err
 	}
 	return l.CS.Ping()
-}
-
-// SecRec implements Node.
-func (l Local) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return l.CS.SecRec(t)
 }
 
 // SecRecBatch implements Node.

@@ -13,7 +13,7 @@ import (
 
 // Remote is a Node backed by a pool of framed transport connections to one
 // shard server. Each connection is an independently multiplexed gob
-// stream, so concurrent SecRec legs no longer serialize behind a single
+// stream, so concurrent SecRecBatch legs no longer serialize behind a single
 // encoder: dispatch picks the least-loaded live connection, dialing lazily
 // up to the configured pool size (SetConns, default 1).
 //
@@ -215,18 +215,6 @@ func (r *Remote) do(fn func(c *transport.Client) error) error {
 // Ping implements Node.
 func (r *Remote) Ping(ctx context.Context) error {
 	return r.do(func(c *transport.Client) error { return c.PingContext(ctx) })
-}
-
-// SecRec implements Node.
-func (r *Remote) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	var ids []uint64
-	var profiles [][]byte
-	err := r.do(func(c *transport.Client) error {
-		var err error
-		ids, profiles, err = c.SecRecContext(ctx, t)
-		return err
-	})
-	return ids, profiles, err
 }
 
 // SecRecBatch implements Node.

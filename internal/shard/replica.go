@@ -335,19 +335,6 @@ func (g *ReplicaGroup) Ping(ctx context.Context) error {
 	return err
 }
 
-// SecRec implements Node on the healthiest current replica, with failover.
-func (g *ReplicaGroup) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	type leg struct {
-		ids      []uint64
-		profiles [][]byte
-	}
-	r, err := readGroup(g, ctx, func(ctx context.Context, n ReplicaNode) (leg, error) {
-		ids, profiles, err := n.SecRec(ctx, t)
-		return leg{ids: ids, profiles: profiles}, err
-	})
-	return r.ids, r.profiles, err
-}
-
 // SecRecBatch implements Node on the healthiest current replica.
 func (g *ReplicaGroup) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	type batchLeg struct {

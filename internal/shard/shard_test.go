@@ -91,19 +91,23 @@ func TestPoolEqualsSingleNode(t *testing.T) {
 	cs := cloud.New()
 	cs.SetIndex(idx)
 	cs.PutProfiles(encProfiles)
+	singlePool, err := NewPool(DefaultConfig(), NewLocal(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sharded := testFrontend(t, "shard-test")
 	pool := localPool(t, sharded, uploads, shards)
 
 	queries, _ := ds.Queries(20, 99)
 	for qi, q := range queries {
-		want, err := single.Discover(cs, q, k, 0)
+		want, _, err := single.Discover(context.Background(), singlePool, q, k, 0)
 		if err != nil {
 			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
-		got, partial, err := sharded.DiscoverSharded(context.Background(), pool, q, k, 0)
+		got, partial, err := sharded.Discover(context.Background(), pool, q, k, 0)
 		if err != nil {
-			t.Fatalf("query %d: DiscoverSharded: %v", qi, err)
+			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
 		if partial {
 			t.Fatalf("query %d: unexpected partial result with all shards alive", qi)
@@ -192,9 +196,9 @@ func TestPartialOnDeadShard(t *testing.T) {
 
 	// k > n so both calls return every candidate, making the lists
 	// directly comparable.
-	full, partial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+	full, partial, err := f.Discover(context.Background(), pool, q, n+1, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded (all alive): %v", err)
+		t.Fatalf("Discover (all alive): %v", err)
 	}
 	if partial {
 		t.Fatal("unexpected partial result with all shards alive")
@@ -202,9 +206,9 @@ func TestPartialOnDeadShard(t *testing.T) {
 
 	shutdownServer(t, servers[dead])
 
-	got, partial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+	got, partial, err := f.Discover(context.Background(), pool, q, n+1, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded (shard %d dead): %v", dead, err)
+		t.Fatalf("Discover (shard %d dead): %v", dead, err)
 	}
 	if !partial {
 		t.Fatal("expected partial result with a dead shard")
@@ -252,7 +256,7 @@ func TestAllShardsDeadErrors(t *testing.T) {
 		shutdownServer(t, srv)
 	}
 	queries, _ := ds.Queries(1, 3)
-	_, _, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	_, _, err := f.Discover(context.Background(), pool, queries[0], 10, 0)
 	if err == nil {
 		t.Fatal("expected error with every shard dead")
 	}
@@ -325,15 +329,15 @@ func faultPool(t *testing.T, f *frontend.Frontend, uploads []frontend.Upload, nS
 
 func shardPeer(s int) string { return fmt.Sprintf("shard%d", s) }
 
-// appErrNode wraps a Node and fails every SecRec with an application
-// error, which must not be retried.
+// appErrNode wraps a Node and fails every SecRecBatch with an
+// application error, which must not be retried.
 type appErrNode struct {
 	Node
 	mu    sync.Mutex
 	calls int
 }
 
-func (a *appErrNode) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (a *appErrNode) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	a.mu.Lock()
 	a.calls++
 	a.mu.Unlock()
@@ -363,9 +367,9 @@ func TestRetryRecoversConnError(t *testing.T) {
 		fn.FailNextWrites(shardPeer(s), 1)
 	}
 	queries, _ := ds.Queries(1, 11)
-	matches, partial, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	matches, partial, err := f.Discover(context.Background(), pool, queries[0], 10, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if partial {
 		t.Fatal("retry should have absorbed the single fault per shard; got partial")
@@ -396,7 +400,7 @@ func TestPoolUnderSeededFaults(t *testing.T) {
 	queries, _ := ds.Queries(12, 23)
 	want := make([][]frontend.Match, len(queries))
 	for q, target := range queries {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, target, 8, 0)
+		m, partial, err := f.Discover(context.Background(), pool, target, 8, 0)
 		if err != nil || partial {
 			t.Fatalf("fault-free query %d: partial=%v err=%v", q, partial, err)
 		}
@@ -406,7 +410,7 @@ func TestPoolUnderSeededFaults(t *testing.T) {
 	fn.SetEnabled(true)
 	complete := 0
 	for q, target := range queries {
-		got, partial, err := f.DiscoverSharded(context.Background(), pool, target, 8, 0)
+		got, partial, err := f.Discover(context.Background(), pool, target, 8, 0)
 		if err != nil {
 			if !transport.IsConnError(err) {
 				t.Fatalf("query %d failed with non-transport error %T: %v", q, err, err)
@@ -461,9 +465,9 @@ func TestApplicationErrorsNotRetried(t *testing.T) {
 		}
 	}
 	queries, _ := ds.Queries(1, 13)
-	_, partial, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	_, partial, err := f.Discover(context.Background(), pool, queries[0], 10, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if !partial {
 		t.Fatal("expected partial result with a failing shard")
@@ -649,7 +653,7 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				q := queries[(w*6+i)%len(queries)]
-				if _, _, err := f.DiscoverSharded(context.Background(), pool, q, 5, 0); err != nil {
+				if _, _, err := f.Discover(context.Background(), pool, q, 5, 0); err != nil {
 					errCh <- fmt.Errorf("static worker %d: %w", w, err)
 					return
 				}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/gob"
 	"net"
 	"reflect"
@@ -34,7 +35,7 @@ func TestPipelinedDiscoveriesShareOneClient(t *testing.T) {
 	const goroutines, queriesPer = 8, 6
 	want := make([][]frontend.Match, goroutines*queriesPer)
 	for q := range want {
-		m, err := f.Discover(client, ds.Profiles[q%len(ds.Profiles)], 5, 0)
+		m, _, err := f.Discover(context.Background(), oneNode{client}, ds.Profiles[q%len(ds.Profiles)], 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestPipelinedDiscoveriesShareOneClient(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesPer; i++ {
 				q := g*queriesPer + i
-				got, err := f.Discover(client, ds.Profiles[q%len(ds.Profiles)], 5, 0)
+				got, _, err := f.Discover(context.Background(), oneNode{client}, ds.Profiles[q%len(ds.Profiles)], 5, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -138,9 +139,9 @@ func TestLateResponseSkippedByID(t *testing.T) {
 }
 
 // TestSecRecBatchOverTransport checks the batched endpoint end to end:
-// per-query results over TCP must match the serial SecRec calls exactly.
+// per-query results over TCP must match the cloud's own SecRec exactly.
 func TestSecRecBatchOverTransport(t *testing.T) {
-	_, client := startServer(t)
+	cs, client := startServer(t)
 	f := testFrontend(t)
 	uploads, ds := testUploads(t, f, 300)
 	idx, encProfiles, err := f.BuildIndex(uploads)
@@ -158,7 +159,7 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, profiles, err := client.SecRecBatch(tds)
+	ids, profiles, err := client.SecRecBatchContext(context.Background(), tds)
 	if err != nil {
 		t.Fatalf("SecRecBatch: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 		t.Fatalf("batch of %d answered with %d/%d results", len(tds), len(ids), len(profiles))
 	}
 	for q, td := range tds {
-		wantIDs, wantProfiles, err := client.SecRec(td)
+		wantIDs, wantProfiles, err := cs.SecRec(td)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 		}
 	}
 	// Empty batch is a no-op, not an error.
-	if _, _, err := client.SecRecBatch(nil); err != nil {
+	if _, _, err := client.SecRecBatchContext(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package transport puts the paper's three-entity architecture on a real
 // network: a framed, request-ID-multiplexed protocol over TCP exposing the
-// cloud server's surface (SecRec discovery, encrypted profile and image
+// cloud server's surface (batched SecRec discovery, encrypted profile and image
 // storage, dynamic bucket fetch/store) to remote front ends and user
 // clients.
 //
@@ -84,7 +84,6 @@ func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
 
 // Method names of the wire protocol.
 const (
-	MethodSecRec        = "SecRec"
 	MethodSecRecBatch   = "SecRecBatch"
 	MethodFetchProfiles = "FetchProfiles"
 	// MethodFetchProfilesSparse is FetchProfiles with gap tolerance: an
@@ -105,7 +104,6 @@ const (
 // Request is the single wire request envelope body.
 type Request struct {
 	Method    string
-	Trapdoor  *core.Trapdoor
 	Trapdoors []*core.Trapdoor
 	Refs      []core.BucketRef
 	Buckets   []core.DynBucket
@@ -398,14 +396,6 @@ func (s *Server) dispatch(req *Request) *Response {
 			break
 		}
 		s.cs.SetDynIndex(req.DynIndex)
-	case MethodSecRec:
-		ids, profiles, err := s.cs.SecRec(req.Trapdoor)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.IDs = ids
-		resp.Profiles = profiles
 	case MethodSecRecBatch:
 		ids, profiles, err := s.cs.SecRecBatch(req.Trapdoors)
 		if err != nil {
@@ -723,21 +713,6 @@ func (c *Client) PingContext(ctx context.Context) error {
 	return err
 }
 
-// SecRec implements frontend.DiscoveryServer remotely.
-func (c *Client) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	return c.SecRecContext(context.Background(), t)
-}
-
-// SecRecContext is SecRec bounded by ctx — the fan-out primitive a shard
-// pool uses to put a per-shard deadline on each discovery leg.
-func (c *Client) SecRecContext(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodSecRec, Trapdoor: t})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.IDs, resp.Profiles, nil
-}
-
 // maxBatchPerRPC caps how many trapdoors ride in a single SecRecBatch
 // wire exchange. Each recalled profile is a few hundred KB of ciphertext,
 // and gob allocates a fresh buffer for every message it reads — once a
@@ -747,16 +722,11 @@ func (c *Client) SecRecContext(ctx context.Context, t *core.Trapdoor) ([]uint64,
 // on the multiplexed connection is strictly faster than one giant frame.
 const maxBatchPerRPC = 8
 
-// SecRecBatch implements frontend.BatchDiscoveryServer remotely: q
-// trapdoors resolved with per-query results identical to q serial SecRec
-// calls. Large batches are split into sub-batches of maxBatchPerRPC
-// queries issued concurrently over the shared connection, so the server
-// streams bounded response messages instead of one giant frame.
-func (c *Client) SecRecBatch(ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	return c.SecRecBatchContext(context.Background(), ts)
-}
-
-// SecRecBatchContext is SecRecBatch bounded by ctx.
+// SecRecBatchContext resolves q trapdoors remotely, bounded by ctx, one
+// result per trapdoor. Large batches are split into sub-batches of
+// maxBatchPerRPC queries issued concurrently over the shared connection,
+// so the server streams bounded response messages instead of one giant
+// frame.
 func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	if len(ts) <= maxBatchPerRPC {
 		resp, err := c.callContext(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts})

@@ -83,6 +83,14 @@ func TestPing(t *testing.T) {
 	}
 }
 
+// oneNode serves a client as the one-node static discovery backend.
+type oneNode struct{ c *Client }
+
+func (n oneNode) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids, profiles, err := n.c.SecRecBatchContext(ctx, ts)
+	return ids, profiles, false, err
+}
+
 func TestRemoteEndToEndDiscovery(t *testing.T) {
 	_, client := startServer(t)
 	f := testFrontend(t)
@@ -98,7 +106,7 @@ func TestRemoteEndToEndDiscovery(t *testing.T) {
 	if err := client.PutProfiles(encProfiles); err != nil {
 		t.Fatalf("PutProfiles: %v", err)
 	}
-	matches, err := f.Discover(client, ds.Profiles[2], 5, 0)
+	matches, _, err := f.Discover(context.Background(), oneNode{client}, ds.Profiles[2], 5, 0)
 	if err != nil {
 		t.Fatalf("Discover over TCP: %v", err)
 	}
@@ -121,9 +129,10 @@ func TestRemoteDynamicFlow(t *testing.T) {
 	if err := client.PutProfiles(encProfiles); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := f.DynSearch(dynClient, client, client, ds.Profiles[4], 5, 0)
+	shards, nodes := []frontend.DynShard{{Client: dynClient}}, []frontend.DynNode{client}
+	matches, _, err := f.DynSearchSharded(shards, nodes, ds.Profiles[4], 5, 0)
 	if err != nil {
-		t.Fatalf("DynSearch over TCP: %v", err)
+		t.Fatalf("DynSearchSharded over TCP: %v", err)
 	}
 	if len(matches) == 0 || matches[0].ID != 5 {
 		t.Fatalf("remote dynamic results: %+v", matches)
@@ -135,7 +144,7 @@ func TestRemoteDynamicFlow(t *testing.T) {
 	if err := client.DeleteProfile(5); err != nil {
 		t.Fatal(err)
 	}
-	matches, err = f.DynSearch(dynClient, client, client, ds.Profiles[4], 5, 0)
+	matches, _, err = f.DynSearchSharded(shards, nodes, ds.Profiles[4], 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +174,10 @@ func TestRemoteImages(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, client := startServer(t)
-	// No index installed: SecRec must fail with the server's message.
-	_, _, err := client.SecRec(&core.Trapdoor{})
+	// No index installed: SecRecBatch must fail with the server's message.
+	_, _, err := client.SecRecBatchContext(context.Background(), []*core.Trapdoor{{}})
 	if err == nil || !strings.Contains(err.Error(), "no index") {
-		t.Errorf("SecRec error = %v", err)
+		t.Errorf("SecRecBatch error = %v", err)
 	}
 	if _, err := client.FetchProfiles([]uint64{42}); err == nil {
 		t.Error("unknown profile fetch accepted")
@@ -212,7 +221,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for q := 0; q < 10; q++ {
-				if _, err := f.Discover(c, ds.Profiles[(w*10+q)%len(ds.Profiles)], 5, 0); err != nil {
+				if _, _, err := f.Discover(context.Background(), oneNode{c}, ds.Profiles[(w*10+q)%len(ds.Profiles)], 5, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -441,9 +450,9 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 
 func TestRemoteErrorIsNotConnError(t *testing.T) {
 	_, client := startServer(t)
-	_, _, err := client.SecRec(&core.Trapdoor{})
+	_, _, err := client.SecRecBatchContext(context.Background(), []*core.Trapdoor{{}})
 	if err == nil {
-		t.Fatal("SecRec without index succeeded")
+		t.Fatal("SecRecBatch without index succeeded")
 	}
 	var re *RemoteError
 	if !errors.As(err, &re) {

@@ -49,6 +49,16 @@ func leakageFixture(t *testing.T, keySeed string) (*pisd.Frontend, *dataset.Data
 	return sf, ds, uploads
 }
 
+// onePool serves one in-process cloud as the one-node shard pool.
+func onePool(t *testing.T, cs *pisd.Cloud) *pisd.ShardPool {
+	t.Helper()
+	pool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), pisd.NewLocalShard(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 func counters(reg *obs.Registry) map[string]int64 {
 	return reg.Snapshot().Counters
 }
@@ -82,7 +92,7 @@ func TestLeakageInvariantStatic(t *testing.T) {
 	targets := []uint64{1, 40, 77, 150}
 	for _, id := range targets {
 		before := counters(reg)
-		matches, err := sf.Discover(cs, ds.Profiles[id-1], 5, id)
+		matches, _, err := sf.Discover(context.Background(), onePool(t, cs), ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +111,7 @@ func TestLeakageInvariantStatic(t *testing.T) {
 	profiles := [][]float64{ds.Profiles[0], ds.Profiles[59], ds.Profiles[119]}
 	excludes := []uint64{1, 60, 120}
 	before := counters(reg)
-	if _, err := sf.DiscoverBatch(cs, profiles, 5, excludes); err != nil {
+	if _, _, err := sf.DiscoverBatch(context.Background(), onePool(t, cs), profiles, 5, excludes); err != nil {
 		t.Fatal(err)
 	}
 	after := counters(reg)
@@ -174,7 +184,7 @@ func TestLeakageInvariantTuned(t *testing.T) {
 
 	for _, id := range []uint64{1, 40, 77, 150} {
 		before := counters(reg)
-		matches, err := sf.Discover(cs, ds.Profiles[id-1], 5, id)
+		matches, _, err := sf.Discover(context.Background(), onePool(t, cs), ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +231,7 @@ func TestLeakageInvariantSharded(t *testing.T) {
 		for s := range regs {
 			before[s] = counters(regs[s])
 		}
-		_, partial, err := sf.DiscoverSharded(context.Background(), pool, ds.Profiles[id-1], 5, id)
+		_, partial, err := sf.Discover(context.Background(), pool, ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +281,8 @@ func TestLeakageInvariantDynamic(t *testing.T) {
 		fetched := make([]int64, 2)
 		for round := range fetched {
 			before := counters(reg)
-			if _, err := sf.DynSearch(dynClient, cs, cs, ds.Profiles[id-1], 5, id); err != nil {
+			shards, nodes := []pisd.DynShard{{Client: dynClient}}, []pisd.DynNode{pisd.NewLocalShard(cs)}
+			if _, _, err := sf.DynSearchSharded(shards, nodes, ds.Profiles[id-1], 5, id); err != nil {
 				t.Fatal(err)
 			}
 			after := counters(reg)
@@ -416,13 +427,6 @@ func (d *downReplica) Ping(ctx context.Context) error {
 	return d.ReplicaNode.Ping(ctx)
 }
 
-func (d *downReplica) SecRec(ctx context.Context, tr *core.Trapdoor) ([]uint64, [][]byte, error) {
-	if err := d.offline(); err != nil {
-		return nil, nil, err
-	}
-	return d.ReplicaNode.SecRec(ctx, tr)
-}
-
 func (d *downReplica) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	if err := d.offline(); err != nil {
 		return nil, nil, err
@@ -513,7 +517,7 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	}
 	discover := func(id uint64) {
 		t.Helper()
-		_, partial, err := sf.DiscoverSharded(context.Background(), pool, ds.Profiles[id-1], 5, id)
+		_, partial, err := sf.Discover(context.Background(), pool, ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,12 +643,12 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	// Per-query budget identical on source and repaired replica.
 	target := dds.Profiles[10]
 	sb := counters(srcReg)
-	if _, err := dsf.DynSearch(dshards[0].Client, srcCS, srcCS, target, 5, 11); err != nil {
+	if _, _, err := dsf.DynSearchSharded(dshards[:1], []pisd.DynNode{src}, target, 5, 11); err != nil {
 		t.Fatal(err)
 	}
 	srcFetch := counters(srcReg)["cloud.dyn_buckets_fetched"] - sb["cloud.dyn_buckets_fetched"]
 	db := counters(dstReg)
-	if _, err := dsf.DynSearch(dshards[0].Client, dstCS, dstCS, target, 5, 11); err != nil {
+	if _, _, err := dsf.DynSearchSharded(dshards[:1], []pisd.DynNode{dst}, target, 5, 11); err != nil {
 		t.Fatal(err)
 	}
 	dstFetch := counters(dstReg)["cloud.dyn_buckets_fetched"] - db["cloud.dyn_buckets_fetched"]

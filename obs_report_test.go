@@ -67,23 +67,20 @@ func TestStageLatencyReport(t *testing.T) {
 		defer cancel()
 		server.Shutdown(ctx)
 	}()
-	client, err := pisd.DialCloud(addr)
+	remote := pisd.NewRemoteShard(addr)
+	defer remote.Close()
+	pool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), remote)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-
-	if err := client.InstallIndex(idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := pool.InstallShard(0, idx, encProfiles); err != nil {
 		t.Fatal(err)
 	}
 
 	before := reg.Snapshot()
 	for q := 0; q < nQueries; q++ {
 		id := uint64(q*7%nUsers + 1)
-		if _, err := sf.Discover(client, ds.Profiles[id-1], 5, id); err != nil {
+		if _, _, err := sf.Discover(context.Background(), pool, ds.Profiles[id-1], 5, id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -172,9 +172,6 @@ type (
 	AdmissionGate = frontend.AdmissionGate
 	// Coalescer folds concurrent discoveries into shared batch fan-outs.
 	Coalescer = frontend.Coalescer
-	// SingleFanout adapts a single cloud server or client to the serving
-	// path's fan-out surface.
-	SingleFanout = frontend.SingleFanout
 	// SubscriptionManager is the frontend-side standing-query index:
 	// registered top-k subscriptions evaluated on every dynamic update
 	// (attach with DynServing.AttachSubscriptions).

@@ -77,14 +77,6 @@ func (c *chaosReplica) Ping(ctx context.Context) error {
 	return n.Ping(ctx)
 }
 
-func (c *chaosReplica) SecRec(ctx context.Context, tr *core.Trapdoor) ([]uint64, [][]byte, error) {
-	n, err := c.get()
-	if err != nil {
-		return nil, nil, err
-	}
-	return n.SecRec(ctx, tr)
-}
-
 func (c *chaosReplica) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	n, err := c.get()
 	if err != nil {

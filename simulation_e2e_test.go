@@ -84,7 +84,7 @@ func runStaticFaultPhase(t *testing.T, w *staticWorld) {
 				if rng.Intn(2) == 0 {
 					exclude = uint64(qi + 1)
 				}
-				got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, exclude)
+				got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, exclude)
 				if err != nil {
 					if !isTransportFault(err) {
 						errs <- fmt.Errorf("worker %d query %d: non-transport failure %T: %w", g, i, err, err)
@@ -115,7 +115,7 @@ func runStaticFaultPhase(t *testing.T, w *staticWorld) {
 				targets[q] = w.ds.Profiles[qi]
 				excludes[q] = uint64(qi + 1)
 			}
-			got, partial, err := w.f.DiscoverShardedBatch(ctx, w.pool, targets, w.p.k, excludes)
+			got, partial, err := w.f.DiscoverBatch(ctx, w.pool, targets, w.p.k, excludes)
 			if err != nil {
 				if !isTransportFault(err) {
 					errs <- fmt.Errorf("batch %d: non-transport failure %T: %w", i, err, err)
@@ -160,7 +160,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 		for i := 0; i < 3; i++ {
 			qi := rng.Intn(w.p.users)
 			target := w.ds.Profiles[qi]
-			got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+			got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, 0)
 			if err != nil {
 				t.Fatalf("shard %d partitioned, query %d: %v", s, i, err)
 			}
@@ -179,7 +179,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 	for s := 0; s < w.p.shards; s++ {
 		w.partitionShard(s)
 	}
-	if _, _, err := w.f.DiscoverSharded(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
+	if _, _, err := w.f.Discover(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
 		t.Fatal("all shards partitioned yet discovery succeeded")
 	} else if !isTransportFault(err) {
 		t.Fatalf("all-shards-down error is %T (%v), want a transport fault", err, err)
@@ -190,7 +190,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 		w.healShard(s)
 	}
 	target := w.ds.Profiles[1]
-	got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+	got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, 0)
 	if err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
@@ -338,7 +338,7 @@ func runConvergencePhase(t *testing.T, w *staticWorld) {
 	for i := 0; i < 6; i++ {
 		qi := rng.Intn(w.p.users)
 		target := w.ds.Profiles[qi]
-		got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, uint64(qi+1))
+		got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, uint64(qi+1))
 		if err != nil {
 			t.Fatalf("convergence query %d: %v", i, err)
 		}
@@ -351,7 +351,7 @@ func runConvergencePhase(t *testing.T, w *staticWorld) {
 	}
 	// And one batch.
 	targets := [][]float64{w.ds.Profiles[0], w.ds.Profiles[1], w.ds.Profiles[2]}
-	got, partial, err := w.f.DiscoverShardedBatch(ctx, w.pool, targets, w.p.k, nil)
+	got, partial, err := w.f.DiscoverBatch(ctx, w.pool, targets, w.p.k, nil)
 	if err != nil || partial {
 		t.Fatalf("convergence batch: partial=%v err=%v", partial, err)
 	}

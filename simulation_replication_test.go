@@ -261,7 +261,7 @@ func (w *repWorld) probe(rounds int) {
 func (w *repWorld) exactQuery(qi int) error {
 	target := w.ds.Profiles[qi]
 	exclude := uint64(qi + 1)
-	got, partial, err := w.f.DiscoverSharded(context.Background(), w.pool, target, w.p.k, exclude)
+	got, partial, err := w.f.Discover(context.Background(), w.pool, target, w.p.k, exclude)
 	if err != nil {
 		return fmt.Errorf("target %d: %w", qi+1, err)
 	}
@@ -342,7 +342,7 @@ func runReplicaKillPhase(t *testing.T, w *repWorld) {
 		}
 		// One batch through the same degraded fleet.
 		targets := [][]float64{w.ds.Profiles[0], w.ds.Profiles[1], w.ds.Profiles[2]}
-		got, partial, err := w.f.DiscoverShardedBatch(context.Background(), w.pool, targets, w.p.k, nil)
+		got, partial, err := w.f.DiscoverBatch(context.Background(), w.pool, targets, w.p.k, nil)
 		if err != nil || partial {
 			t.Fatalf("replica %d killed: batch partial=%v err=%v", r, partial, err)
 		}
@@ -393,7 +393,7 @@ func runReplicaChaosPhase(t *testing.T, w *repWorld) {
 				qi := rng.Intn(w.p.users)
 				target := w.ds.Profiles[qi]
 				exclude := uint64(qi + 1)
-				got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, exclude)
+				got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, exclude)
 				if err != nil {
 					if !isTransportFault(err) {
 						errs <- fmt.Errorf("worker %d query %d: non-transport failure %T: %w", g, i, err, err)
@@ -440,7 +440,7 @@ func runGroupLossPhase(t *testing.T, w *repWorld) {
 	for i := 0; i < 3; i++ {
 		qi := rng.Intn(w.p.users)
 		target := w.ds.Profiles[qi]
-		got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+		got, partial, err := w.f.Discover(ctx, w.pool, target, w.p.k, 0)
 		if err != nil {
 			t.Fatalf("group %d lost, query %d: %v", victim, i, err)
 		}
@@ -457,7 +457,7 @@ func runGroupLossPhase(t *testing.T, w *repWorld) {
 			w.killReplica(s, r)
 		}
 	}
-	if _, _, err := w.f.DiscoverSharded(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
+	if _, _, err := w.f.Discover(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
 		t.Fatal("every replica of every group killed yet discovery succeeded")
 	} else if !isTransportFault(err) {
 		t.Fatalf("all-replicas-down error is %T (%v), want a transport fault", err, err)

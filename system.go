@@ -1,10 +1,12 @@
 package pisd
 
 import (
+	"context"
 	"fmt"
 
 	"pisd/internal/frontend"
 	"pisd/internal/groups"
+	"pisd/internal/shard"
 )
 
 // SystemConfig parameterizes an in-process System.
@@ -28,6 +30,8 @@ type System struct {
 	// SF is the trusted front end; CS the untrusted cloud.
 	SF *Frontend
 	CS *Cloud
+	// pool serves CS to SF as the one-node case of the shard fleet.
+	pool *shard.Pool
 }
 
 // NewSystem creates the pair.
@@ -36,7 +40,12 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pisd: %w", err)
 	}
-	return &System{SF: sf, CS: NewCloud()}, nil
+	cs := NewCloud()
+	pool, err := shard.NewPool(shard.DefaultConfig(), shard.NewLocal(cs))
+	if err != nil {
+		return nil, fmt.Errorf("pisd: %w", err)
+	}
+	return &System{SF: sf, CS: cs, pool: pool}, nil
 }
 
 // AddProfiles performs service frontend initialization over the uploads:
@@ -56,19 +65,21 @@ func (s *System) AddProfiles(uploads []Upload) error {
 // the full privacy-preserving flow (trapdoor → SecRec at the cloud →
 // decrypt → distance ranking).
 func (s *System) Discover(targetProfile []float64, k int) ([]Match, error) {
-	return s.SF.Discover(s.CS, targetProfile, k, 0)
+	return s.DiscoverFor(0, targetProfile, k)
 }
 
 // DiscoverFor is Discover for an indexed user, excluding the user's own
 // identifier from the results.
 func (s *System) DiscoverFor(userID uint64, targetProfile []float64, k int) ([]Match, error) {
-	return s.SF.Discover(s.CS, targetProfile, k, userID)
+	matches, _, err := s.SF.Discover(context.TODO(), s.pool, targetProfile, k, userID)
+	return matches, err
 }
 
 // DiscoverFoF composes discovery with friend-of-friend boosting over a
 // social graph.
 func (s *System) DiscoverFoF(graph *SocialGraph, userID uint64, targetProfile []float64, k int) ([]Match, error) {
-	return s.SF.DiscoverFoF(s.CS, graph, userID, targetProfile, k)
+	matches, _, err := s.SF.DiscoverFoF(context.TODO(), s.pool, graph, userID, targetProfile, k)
+	return matches, err
 }
 
 // DiscoverGroups implements the paper's group-discovery application: it
@@ -78,7 +89,7 @@ func (s *System) DiscoverFoF(graph *SocialGraph, userID uint64, targetProfile []
 func (s *System) DiscoverGroups(memberProfiles map[uint64][]float64, k int, opts GroupOptions) ([]Group, error) {
 	neighbors := make(map[uint64][]GroupNeighbor, len(memberProfiles))
 	for id, profile := range memberProfiles {
-		matches, err := s.SF.Discover(s.CS, profile, k, id)
+		matches, err := s.DiscoverFor(id, profile, k)
 		if err != nil {
 			return nil, fmt.Errorf("pisd: group discovery for %d: %w", id, err)
 		}

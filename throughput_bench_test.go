@@ -120,6 +120,18 @@ func getTunedThroughputFixture(b *testing.B) *throughputFixture {
 	return tunedTput
 }
 
+// singlePool drives the fixture's cloud as a one-node pool over one
+// multiplexed TCP connection.
+func singlePool(b *testing.B, addr string) *shard.Pool {
+	remote := shard.NewRemote(addr)
+	b.Cleanup(func() { remote.Close() })
+	pool, err := shard.NewPool(shard.DefaultConfig(), remote)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pool
+}
+
 // latRecorder accumulates per-query latencies concurrently and reports
 // QPS and percentile metrics.
 type latRecorder struct {
@@ -155,18 +167,14 @@ func (r *latRecorder) report(b *testing.B, elapsed time.Duration) {
 // request/response transport sustained per connection.
 func BenchmarkThroughput_DiscoverySerial(b *testing.B) {
 	f := getThroughputFixture(b)
-	client, err := transport.Dial(f.addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
+	pool := singlePool(b, f.addr)
 	rec := &latRecorder{}
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
 		qStart := time.Now()
-		if _, err := f.sf.Discover(client, q, 10, 0); err != nil {
+		if _, _, err := f.sf.Discover(context.Background(), pool, q, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 		rec.observe(time.Since(qStart))
@@ -181,11 +189,7 @@ func BenchmarkThroughput_DiscoverySerial(b *testing.B) {
 // goroutine count via RunParallel's GOMAXPROCS * SetParallelism workers.
 func BenchmarkThroughput_Discovery(b *testing.B) {
 	f := getThroughputFixture(b)
-	client, err := transport.Dial(f.addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
+	pool := singlePool(b, f.addr)
 	rec := &latRecorder{}
 	var qctr atomic.Uint64
 	b.SetParallelism(8)
@@ -195,7 +199,7 @@ func BenchmarkThroughput_Discovery(b *testing.B) {
 		for pb.Next() {
 			q := f.queries[(qctr.Add(1)-1)%uint64(len(f.queries))]
 			qStart := time.Now()
-			if _, err := f.sf.Discover(client, q, 10, 0); err != nil {
+			if _, _, err := f.sf.Discover(context.Background(), pool, q, 10, 0); err != nil {
 				b.Error(err)
 				return
 			}
@@ -293,11 +297,7 @@ func BenchmarkThroughput_DiscoverLockstepTuned(b *testing.B) {
 func BenchmarkThroughput_DiscoverBatch(b *testing.B) {
 	const batchSize = 32
 	f := getThroughputFixture(b)
-	client, err := transport.Dial(f.addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
+	pool := singlePool(b, f.addr)
 	rec := &latRecorder{}
 	b.ResetTimer()
 	start := time.Now()
@@ -311,7 +311,7 @@ func BenchmarkThroughput_DiscoverBatch(b *testing.B) {
 			targets[i] = f.queries[(done+i)%len(f.queries)]
 		}
 		bStart := time.Now()
-		if _, err := f.sf.DiscoverBatch(client, targets, 10, nil); err != nil {
+		if _, _, err := f.sf.DiscoverBatch(context.Background(), pool, targets, 10, nil); err != nil {
 			b.Fatal(err)
 		}
 		per := time.Since(bStart) / time.Duration(size)
