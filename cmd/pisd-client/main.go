@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -142,12 +143,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := client.StoreImage(*userID, ct.Payload); err != nil {
+		if err := client.StoreImage(context.Background(), *userID, ct.Payload); err != nil {
 			return err
 		}
 		fmt.Printf("uploaded one encrypted image (%d B) to %s\n", len(ct.Payload), *cloudAddr)
 	}
-	return client.Ping()
+	return client.Ping(context.Background())
 }
 
 func parseTopics(s string) ([]pisd.Topic, error) {

@@ -89,7 +89,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := client.StoreImage(7, ct.Payload); err != nil {
+	if err := client.StoreImage(context.Background(), 7, ct.Payload); err != nil {
 		return err
 	}
 	fmt.Println("user 7 uploaded a policy-protected encrypted image")

@@ -34,27 +34,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cs := pisd.NewCloud()
-
 	uploads := make([]pisd.Upload, len(ds.Profiles))
 	for i, p := range ds.Profiles {
 		uploads[i] = pisd.Upload{ID: uint64(i + 1), Profile: p, Meta: sf.ComputeMeta(p)}
 	}
-	dynIdx, dynClient, encProfiles, err := sf.BuildDynamicIndex(uploads)
+	// A single cloud is the one-shard case of the sharded dynamic index.
+	parts, err := sf.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		return err
 	}
-	cs.SetDynIndex(dynIdx)
-	cs.PutProfiles(encProfiles)
+	cs := pisd.NewCloud()
+	cs.SetDynIndex(parts[0].Index)
+	cs.PutProfiles(parts[0].EncProfiles)
 	fmt.Printf("dynamic index over %d users installed at the cloud\n", len(uploads))
-	// A single cloud is the one-shard case of the sharded dynamic search.
-	shards := []pisd.DynShard{{Client: dynClient}}
-	nodes := []pisd.DynNode{pisd.NewLocalShard(cs)}
+	serving, err := sf.NewDynServing(parts, []pisd.DynNode{pisd.NewLocalShard(cs)}, nil, pisd.ServingConfig{})
+	if err != nil {
+		return err
+	}
 
 	// User 42's current interests.
 	const userID = 42
 	oldProfile := ds.Profiles[userID-1]
-	matches, _, err := sf.DynSearchSharded(shards, nodes, oldProfile, 5, userID)
+	matches, _, err := serving.Search(oldProfile, 5, userID)
 	if err != nil {
 		return err
 	}
@@ -65,29 +66,23 @@ func run() error {
 	newProfile := ds.Profiles[899]
 	fmt.Printf("\nuser %d updates interests to topics %v\n", userID, ds.UserTopics[899])
 
-	// Secure deletion of the outdated profile...
-	if err := dynClient.Delete(cs, userID, sf.ComputeMeta(oldProfile)); err != nil {
+	// Secure deletion of the outdated profile, then secure insertion of
+	// the new one.
+	if err := serving.Delete(userID, oldProfile); err != nil {
 		return err
 	}
-	cs.DeleteProfile(userID)
-	// ...then secure insertion of the new one.
-	if err := dynClient.Insert(cs, userID, sf.ComputeMeta(newProfile)); err != nil {
+	if err := serving.Insert(userID, newProfile); err != nil {
 		return err
 	}
-	ct, err := sf.EncryptProfile(newProfile)
-	if err != nil {
-		return err
-	}
-	cs.PutProfile(userID, ct)
 
-	matches, _, err = sf.DynSearchSharded(shards, nodes, newProfile, 5, userID)
+	matches, _, err = serving.Search(newProfile, 5, userID)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("after update, user %d matches:\n", userID)
 	printMatches(matches, ds)
 
-	st := dynClient.Stats()
+	st := parts[0].Client.Stats()
 	fmt.Printf("\nupdate protocol stats: %d interaction rounds, %d kick-aways\n", st.Rounds, st.Kicks)
 	return nil
 }

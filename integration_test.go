@@ -110,7 +110,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.StoreImage(1, encImg.Ciphertext.Payload); err != nil {
+	if err := client.StoreImage(ctx, 1, encImg.Ciphertext.Payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,10 +123,10 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallIndex(idx); err != nil {
+	if err := client.InstallIndex(ctx, idx); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := client.PutProfiles(ctx, encProfiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,25 +161,26 @@ func TestFullSystemOverTCP(t *testing.T) {
 	}
 
 	// --- Step 4: dynamic index with single and batch updates, remotely.
-	dynIdx, dynClient, dynProfiles, err := sf.BuildDynamicIndex(uploads)
+	dynParts, err := sf.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallDynIndex(dynIdx); err != nil {
+	dynClient := dynParts[0].Client
+	if err := client.InstallDynIndex(ctx, dynParts[0].Index); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutProfiles(dynProfiles); err != nil {
+	if err := client.PutProfiles(ctx, dynParts[0].EncProfiles); err != nil {
 		t.Fatal(err)
 	}
 	oldMeta := sf.ComputeMeta(ds.Profiles[9])
 	newMeta := sf.ComputeMeta(ds.Profiles[100])
-	if _, err := dynClient.BatchUpdate(client, []pisd.DynUpdate{
+	if _, err := dynClient.BatchUpdate(remote, []pisd.DynUpdate{
 		{Op: pisd.OpDelete, ID: 10, Meta: oldMeta},
 		{Op: pisd.OpInsert, ID: 10, Meta: newMeta},
 	}); err != nil {
 		t.Fatalf("remote batch update: %v", err)
 	}
-	ids, err := dynClient.Search(client, newMeta)
+	ids, err := dynClient.Search(remote, newMeta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package frontend
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pisd/internal/cloud"
 	"pisd/internal/core"
+	"pisd/internal/obs"
 	"pisd/internal/shard"
 )
 
@@ -178,5 +180,50 @@ func TestDynServingChurnInvalidation(t *testing.T) {
 	}
 	if err := EqualMatches(got, ref); err != nil {
 		t.Fatalf("post-churn ranking disagrees with oracle: %v", err)
+	}
+}
+
+// TestDynServingRejectsMalformedDeployment checks both dynamic entry
+// points refuse a shard without a client or a node up front, naming the
+// shard, instead of panicking inside a fan-out goroutine on first search.
+func TestDynServingRejectsMalformedDeployment(t *testing.T) {
+	f, ups, shards, nodes, _, _ := dynServingFixture(t, 60)
+	noClient := append([]DynShard(nil), shards...)
+	noClient[1].Client = nil
+	noNode := append([]DynNode(nil), nodes...)
+	noNode[1] = nil
+	for _, tc := range []struct {
+		name   string
+		shards []DynShard
+		nodes  []DynNode
+	}{
+		{"nil client", noClient, nodes},
+		{"nil node", shards, noNode},
+	} {
+		if _, err := f.NewDynServing(tc.shards, tc.nodes, nil, ServingConfig{}); err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Errorf("NewDynServing with %s: err = %v, want one naming shard 1", tc.name, err)
+		}
+		if _, _, err := f.DynSearchSharded(tc.shards, tc.nodes, ups[0].Profile, 5, 0); err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Errorf("DynSearchSharded with %s: err = %v, want one naming shard 1", tc.name, err)
+		}
+	}
+}
+
+// TestDynServingSearchFeedsDynSearchMetric checks the serving path's
+// searches feed frontend.dyn_search on a cache miss and a cache hit alike.
+func TestDynServingSearchFeedsDynSearchMetric(t *testing.T) {
+	_, ups, _, _, _, serv := dynServingFixture(t, 60)
+	before := obs.Default.Snapshot()
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, _, err := serv.Search(ups[3].Profile, 5, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := obs.Default.Snapshot().Diff(before)
+	if got := d.Histograms["frontend.dyn_search"].Count; got != 2 {
+		t.Fatalf("frontend.dyn_search gained %d samples, want 2", got)
+	}
+	if d.Counters["frontend.cache_misses"] != 1 || d.Counters["frontend.cache_hits"] != 1 {
+		t.Fatalf("cache misses/hits = %d/%d, want 1/1", d.Counters["frontend.cache_misses"], d.Counters["frontend.cache_hits"])
 	}
 }

@@ -346,27 +346,6 @@ func (f *Frontend) encryptProfileSlice(uploads []Upload) ([][]byte, error) {
 	return cts, nil
 }
 
-// BuildDynamicIndex builds the updatable index variant plus its front-end
-// client (Sec. III-D).
-func (f *Frontend) BuildDynamicIndex(uploads []Upload) (*core.DynIndex, *core.DynClient, map[uint64][]byte, error) {
-	items, p, err := f.prepare(uploads, false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	idx, client, err := core.BuildDynamic(f.keys, items, p)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("frontend: build dynamic index: %w", err)
-	}
-	f.params = p
-	f.built = true
-	f.rehashed = false
-	encProfiles, err := f.encryptProfiles(uploads)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return idx, client, encProfiles, nil
-}
-
 // Trapdoor issues the secure discovery trapdoor t = GenTpdr(K, V) for a
 // target profile.
 func (f *Frontend) Trapdoor(profile []float64) (*core.Trapdoor, error) {
@@ -453,11 +432,6 @@ func topMatches(ids []uint64, dists []float64, skip []bool, k int) []Match {
 		out[i] = Match{ID: s.ID, Distance: s.Score}
 	}
 	return out
-}
-
-// ProfileFetcher is the cloud surface returning encrypted profiles by id.
-type ProfileFetcher interface {
-	FetchProfiles(ids []uint64) ([][]byte, error)
 }
 
 // ExportKeys serializes the front end's secret key material for secure

@@ -262,16 +262,16 @@ func TestDynamicFlow(t *testing.T) {
 	}
 	ds := testPopulation(t, n)
 	uploads := uploadsFrom(ds, f)
-	idx, client, encProfiles, err := f.BuildDynamicIndex(uploads)
+	parts, err := f.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := cloud.New()
-	cs.SetDynIndex(idx)
-	cs.PutProfiles(encProfiles)
+	cs.SetDynIndex(parts[0].Index)
+	cs.PutProfiles(parts[0].EncProfiles)
 
 	target := ds.Profiles[7]
-	shards, nodes := []DynShard{{Client: client}}, []DynNode{shard.NewLocal(cs)}
+	shards, nodes := parts, []DynNode{shard.NewLocal(cs)}
 	matches, _, err := f.DynSearchSharded(shards, nodes, target, 5, 0)
 	if err != nil {
 		t.Fatalf("DynSearchSharded: %v", err)
@@ -281,20 +281,17 @@ func TestDynamicFlow(t *testing.T) {
 	}
 
 	// Update user 8's profile: delete, re-insert with new interests.
-	meta8 := f.ComputeMeta(ds.Profiles[7])
-	if err := client.Delete(cs, 8, meta8); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	cs.DeleteProfile(8)
-	newProfile := ds.Profiles[100] // adopt another user's interests
-	if err := client.Insert(cs, 8, f.ComputeMeta(newProfile)); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	ct, err := f.EncryptProfile(newProfile)
+	serving, err := f.NewDynServing(shards, nodes, nil, ServingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.PutProfile(8, ct)
+	if err := serving.Delete(8, ds.Profiles[7]); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	newProfile := ds.Profiles[100] // adopt another user's interests
+	if err := serving.Insert(8, newProfile); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
 
 	matches, _, err = f.DynSearchSharded(shards, nodes, newProfile, 5, 0)
 	if err != nil {

@@ -21,15 +21,12 @@ import (
 // client, created up front while no lock is held, so repair and churn
 // can never deadlock on each other (and never contend, either).
 
-// RepairNode is the replica surface the repair closures drive: the bucket
-// store plus the encrypted-profile store and its enumeration endpoint.
+// RepairNode is the replica surface the repair closures drive: a dynamic
+// node plus the profile-store enumeration endpoint and the index install.
 // shard.ReplicaNode satisfies it structurally, so the shard tier can hand
 // its replicas straight to these closures without an import cycle.
 type RepairNode interface {
-	core.BucketStore
-	ProfileFetcher
-	PutProfiles(profiles map[uint64][]byte) error
-	DeleteProfile(id uint64) error
+	DynNode
 	ProfileIDs() ([]uint64, error)
 	InstallDynIndex(idx *core.DynIndex) error
 }
@@ -55,37 +52,28 @@ func forkClients(shards []DynShard) ([]*core.DynClient, error) {
 // NewReplicaRepair returns the anti-entropy repair function for a
 // replicated dynamic deployment: repair(s, src, dst) rebuilds replica dst
 // of shard s from its healthy sibling src, after which dst holds the same
-// logical state as src under fresh masks. It wipes dst to a freshly
-// sealed empty shell (uniform for a restarted-empty and a lagging
-// replica — a half-applied state is never trusted), sweeps every bucket
-// from src through the re-masking resync in batches of the given position
-// width, and mirrors the encrypted profile store. The caller must hold
-// the group's write lock so no write interleaves the copy; the shard
-// tier's Repairer does.
+// logical state as src under fresh masks. It runs the migration closures
+// end to end: Prepare wipes dst to a freshly sealed empty shell (uniform
+// for a restarted-empty and a lagging replica — a half-applied state is
+// never trusted), a Resync sweeps every bucket from src through the
+// re-masking copy in batches of the given position width, and Finish
+// mirrors the encrypted profile store. The caller must hold the group's
+// write lock so no write interleaves the copy; the shard tier's Repairer
+// does.
 func NewReplicaRepair(shards []DynShard, batch int) (func(s int, src, dst RepairNode) error, error) {
 	forks, err := forkClients(shards)
 	if err != nil {
 		return nil, err
 	}
+	m := replicaMigration(shards, forks)
 	return func(s int, src, dst RepairNode) error {
-		if s < 0 || s >= len(forks) || forks[s] == nil {
-			return fmt.Errorf("frontend: repair: no dynamic client for shard %d", s)
+		if err := m.Prepare(s, src, dst); err != nil {
+			return err
 		}
-		c := forks[s]
-		shell, err := c.NewShell()
-		if err != nil {
-			return fmt.Errorf("frontend: repair shard %d: build shell: %w", s, err)
-		}
-		if err := dst.InstallDynIndex(shell); err != nil {
-			return fmt.Errorf("frontend: repair shard %d: install shell: %w", s, err)
-		}
-		if err := c.Resync(src, dst, batch); err != nil {
+		if err := forks[s].Resync(src, dst, batch); err != nil {
 			return fmt.Errorf("frontend: repair shard %d: %w", s, err)
 		}
-		if err := mirrorProfiles(src, dst); err != nil {
-			return fmt.Errorf("frontend: repair shard %d: %w", s, err)
-		}
-		return nil
+		return m.Finish(s, src, dst)
 	}, nil
 }
 
@@ -102,14 +90,19 @@ type ReplicaMigration struct {
 }
 
 // NewReplicaMigration returns the migration closures for a replicated
-// dynamic deployment, backed by the same kind of pre-forked per-shard
-// clients as NewReplicaRepair, so chunked migration runs beside
-// foreground churn without lock coupling.
+// dynamic deployment, backed by pre-forked per-shard clients, so chunked
+// migration runs beside foreground churn without lock coupling.
 func NewReplicaMigration(shards []DynShard) (ReplicaMigration, error) {
 	forks, err := forkClients(shards)
 	if err != nil {
 		return ReplicaMigration{}, err
 	}
+	return replicaMigration(shards, forks), nil
+}
+
+// replicaMigration builds the migration closures over forks, one forked
+// client per shard (nil where the shard has none).
+func replicaMigration(shards []DynShard, forks []*core.DynClient) ReplicaMigration {
 	client := func(s int) (*core.DynClient, error) {
 		if s < 0 || s >= len(forks) || forks[s] == nil {
 			return nil, fmt.Errorf("frontend: migrate: no dynamic client for shard %d", s)
@@ -153,7 +146,7 @@ func NewReplicaMigration(shards []DynShard) (ReplicaMigration, error) {
 			}
 			return uint64(shards[s].Index.Width())
 		},
-	}, nil
+	}
 }
 
 // mirrorProfiles makes dst's encrypted-profile store equal src's: every

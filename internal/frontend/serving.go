@@ -3,13 +3,9 @@ package frontend
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"pisd/internal/core"
-	"pisd/internal/lsh"
 	"pisd/internal/obs"
-	"pisd/internal/subs"
 )
 
 // ServingConfig tunes the multi-core serving path: batch coalescing,
@@ -124,198 +120,4 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 		fmet.partials.Inc()
 	}
 	return matches, partial, nil
-}
-
-// DynServing is the dynamic scheme's cached serving path: searches are
-// cached keyed on the bucket references the cloud observes, and every
-// insert/delete invalidates exactly the entries whose read set intersects
-// the buckets it re-seals. The invalidation hook rides StoreBuckets —
-// every round of the dynamic protocols (including each kick of an insert
-// chain) re-seals its full fetched batch through it, so no mutated bucket
-// escapes the hook. Safe for concurrent use; mutations serialize against
-// searches so a search result can never be cached after the update that
-// outdates it.
-type DynServing struct {
-	f      *Frontend
-	shards []DynShard
-	nodes  []DynNode
-	owner  func(uint64) int
-	cache  *ResultCache
-	gate   *AdmissionGate
-
-	// subsm is the attached subscription manager (nil when the serving
-	// path runs without standing queries); its hooks run under churn,
-	// after the mutation they evaluate succeeded.
-	subsm *subs.Manager
-
-	// churn serializes mutations (write side) against search+cache-fill
-	// (read side): without it a slow search could fetch buckets, lose the
-	// race to an insert, then cache the pre-insert answer after the
-	// insert's invalidation pass already ran.
-	churn sync.RWMutex
-}
-
-// NewDynServing builds the cached dynamic serving path. shards[s] must
-// pair with nodes[s]; a nil owner means core.DefaultOwner.
-func (f *Frontend) NewDynServing(shards []DynShard, nodes []DynNode, owner func(uint64) int, cfg ServingConfig) (*DynServing, error) {
-	if len(shards) == 0 || len(shards) != len(nodes) {
-		return nil, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
-	}
-	if owner == nil {
-		owner = core.DefaultOwner(len(shards))
-	}
-	return &DynServing{
-		f:      f,
-		shards: shards,
-		nodes:  nodes,
-		owner:  owner,
-		cache:  NewResultCache(cfg.CacheEntries),
-		gate:   NewAdmissionGate(cfg.MaxInflight),
-	}, nil
-}
-
-// Cache exposes the dynamic serving path's result cache (nil when
-// disabled).
-func (s *DynServing) Cache() *ResultCache { return s.cache }
-
-// Search runs one cached dynamic discovery. A hit replays the merged
-// candidate set of the last identical search with zero cloud traffic;
-// the result matches DynSearchSharded exactly as long as no intervening
-// update touched the addressed buckets — which the invalidation hook
-// guarantees.
-func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
-	if err := s.gate.Acquire(); err != nil {
-		return nil, false, err
-	}
-	defer s.gate.Release()
-	s.churn.RLock()
-	defer s.churn.RUnlock()
-	meta := s.f.family.Hash(targetProfile)
-	refs, err := s.shards[0].Client.Refs(meta)
-	if err != nil {
-		return nil, false, err
-	}
-	key := refsKey(refs)
-	if ids, vecs, ok := s.cache.Get(key); ok {
-		fmet.cacheHits.Inc()
-		matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, nil)
-		return matches, false, err
-	}
-	fmet.cacheMisses.Inc()
-	ids, encProfiles, partial, err := s.f.dynSearchMerged(s.shards, s.nodes, meta)
-	if err != nil {
-		return nil, false, err
-	}
-	vecs, err := s.f.decryptProfiles(ids, encProfiles)
-	if err != nil {
-		return nil, false, err
-	}
-	if !partial {
-		s.cache.Put(key, refs, ids, vecs)
-	}
-	matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if partial {
-		fmet.partials.Inc()
-	}
-	return matches, partial, nil
-}
-
-// Insert routes a dynamic insertion to the owning shard with the cache
-// invalidation hook installed on that shard's bucket store. After the
-// insert succeeds, attached subscriptions are evaluated against the new
-// profile frontend-side — zero additional cloud operations (§18).
-func (s *DynServing) Insert(id uint64, profile []float64) error {
-	s.churn.Lock()
-	defer s.churn.Unlock()
-	if err := s.f.DynInsertSharded(s.shards, s.invalidatingNodes(), s.owner, id, profile); err != nil {
-		return err
-	}
-	s.notifyInsert(id, profile)
-	return nil
-}
-
-// Delete routes a secure deletion to the owning shard with the cache
-// invalidation hook installed on that shard's bucket store. After the
-// delete succeeds, the profile is evicted from every attached standing
-// result, promoting runners-up.
-func (s *DynServing) Delete(id uint64, profile []float64) error {
-	s.churn.Lock()
-	defer s.churn.Unlock()
-	if err := s.f.DynDeleteSharded(s.shards, s.invalidatingNodes(), s.owner, id, profile); err != nil {
-		return err
-	}
-	s.notifyDelete(id)
-	return nil
-}
-
-// invalidatingNodes wraps every node so StoreBuckets invalidates the
-// cache entries whose read set intersects the written refs.
-func (s *DynServing) invalidatingNodes() []DynNode {
-	out := make([]DynNode, len(s.nodes))
-	for i, n := range s.nodes {
-		out[i] = invalidatingNode{DynNode: n, cache: s.cache}
-	}
-	return out
-}
-
-// invalidatingNode decorates a DynNode: every bucket write first drops
-// the cache entries it outdates.
-type invalidatingNode struct {
-	DynNode
-	cache *ResultCache
-}
-
-func (n invalidatingNode) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
-	n.cache.InvalidateRefs(refs)
-	return n.DynNode.StoreBuckets(refs, buckets)
-}
-
-// dynSearchMerged is DynSearchSharded up to (but not including)
-// decryption and ranking: it returns the merged candidate ids and
-// encrypted profiles, which is the cacheable unit (one entry serves every
-// k and excludeID).
-func (f *Frontend) dynSearchMerged(shards []DynShard, nodes []DynNode, meta lsh.Metadata) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
-	type result struct {
-		ids      []uint64
-		profiles [][]byte
-		err      error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &results[s]
-			sids, err := shards[s].Client.Search(nodes[s], meta)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.ids = sids
-			r.profiles, r.err = nodes[s].FetchProfiles(sids)
-		}(s)
-	}
-	wg.Wait()
-
-	var firstErr error
-	failed := 0
-	for s, r := range results {
-		if r.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", s, r.err)
-			}
-			continue
-		}
-		ids = append(ids, r.ids...)
-		encProfiles = append(encProfiles, r.profiles...)
-	}
-	if failed == len(shards) {
-		return nil, nil, false, fmt.Errorf("frontend: sharded dynamic search: all %d shards failed: %w", len(shards), firstErr)
-	}
-	return ids, encProfiles, failed > 0, nil
 }

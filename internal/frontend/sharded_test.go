@@ -131,21 +131,15 @@ func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 }
 
 func TestRouteShardValidation(t *testing.T) {
-	f, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := testPopulation(t, 40)
-	uploads := uploadsFrom(ds, f)
-	dynShards, err := f.BuildShardedDynamicIndex(uploads, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.DynInsertSharded(dynShards, nil, nil, 1, ds.Profiles[0]); err == nil {
+	f, ups, shards, nodes, _, _ := dynServingFixture(t, 40)
+	if _, err := f.NewDynServing(shards, nil, nil, ServingConfig{}); err == nil {
 		t.Fatal("mismatched shard/node lengths accepted")
 	}
-	nodes := make([]DynNode, 2)
-	if err := f.DynInsertSharded(dynShards, nodes, func(uint64) int { return 9 }, 1, ds.Profiles[0]); err == nil {
+	serv, err := f.NewDynServing(shards, nodes, func(uint64) int { return 9 }, ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serv.Insert(1, ups[0].Profile); err == nil {
 		t.Fatal("out-of-range owner accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -49,7 +50,10 @@ func (s *DynServing) Subscribe(subID uint64, profile []float64, k int) ([]subs.E
 	if err != nil {
 		return nil, err
 	}
-	ids, vecs, err := s.seedSearch(profile, meta)
+	ids, vecs, partial, err := s.f.dynRead(s.shards, s.nodes, meta, s.cache)
+	if err == nil && partial {
+		err = errors.New("frontend: degraded to partial view")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("frontend: subscription %d seed search: %w", subID, err)
 	}
@@ -66,35 +70,6 @@ func (s *DynServing) Unsubscribe(subID uint64) bool {
 		return false
 	}
 	return s.subsm.Unsubscribe(subID)
-}
-
-// seedSearch is the cache-integrated candidate fetch of Search, pre-rank:
-// a hit replays the cached plaintext candidates with zero cloud traffic,
-// a miss runs the sharded search and fills the cache. Callers hold churn.
-func (s *DynServing) seedSearch(profile []float64, meta lsh.Metadata) ([]uint64, [][]float64, error) {
-	refs0, err := s.shards[0].Client.Refs(meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := refsKey(refs0)
-	if ids, vecs, ok := s.cache.Get(key); ok {
-		fmet.cacheHits.Inc()
-		return ids, vecs, nil
-	}
-	fmet.cacheMisses.Inc()
-	ids, encProfiles, partial, err := s.f.dynSearchMerged(s.shards, s.nodes, meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	if partial {
-		return nil, nil, fmt.Errorf("frontend: degraded to partial view")
-	}
-	vecs, err := s.f.decryptProfiles(ids, encProfiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.cache.Put(key, refs0, ids, vecs)
-	return ids, vecs, nil
 }
 
 // subRefs computes meta's standing read set on every shard: each shard's
@@ -122,19 +97,15 @@ func tagRefs(shard int, refs []core.BucketRef) []subs.Ref {
 	return out
 }
 
-// notifyInsert evaluates subscriptions against one successful insert.
-// The write set equals the insert's own first-round bucket writes —
-// Refs(meta) on the owning shard, deduplicated — so the evaluation adds
-// zero cloud operations. Callers hold churn.
-func (s *DynServing) notifyInsert(id uint64, profile []float64) {
+// notifyInsert evaluates subscriptions against one successful insert of
+// id on shard sh. The write set equals the insert's own first-round
+// bucket writes — Refs(meta) on the owning shard, deduplicated — so the
+// evaluation adds zero cloud operations. Callers hold churn.
+func (s *DynServing) notifyInsert(sh int, id uint64, profile []float64, meta lsh.Metadata) {
 	if s.subsm == nil {
 		return
 	}
-	sh, err := routeShard(s.shards, s.nodes, s.owner, id)
-	if err != nil {
-		return
-	}
-	refs, err := s.shards[sh].Client.Refs(s.f.family.Hash(profile))
+	refs, err := s.shards[sh].Client.Refs(meta)
 	if err != nil {
 		return
 	}
@@ -172,7 +143,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 	}
 	byShard := make(map[int][]uint64)
 	for _, id := range ids {
-		sh, err := routeShard(s.shards, s.nodes, s.owner, id)
+		sh, err := ownerShard(s.owner, len(s.shards), id)
 		if err != nil {
 			return 0, err
 		}
@@ -186,7 +157,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 		wg.Add(1)
 		go func(sh int, shardIDs []uint64) {
 			defer wg.Done()
-			cts, err := fetchProfilesSparse(s.nodes[sh], shardIDs)
+			cts, err := s.nodes[sh].FetchProfilesSparse(shardIDs)
 			if err != nil {
 				errs[sh] = fmt.Errorf("frontend: rescore fetch shard %d: %w", sh, err)
 				return
@@ -216,19 +187,4 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 		}
 	}
 	return s.subsm.Rescore(profiles), nil
-}
-
-// sparseProfileFetcher mirrors shard.SparseProfileFetcher without
-// importing the shard package: the gap-tolerant batched profile read.
-type sparseProfileFetcher interface {
-	FetchProfilesSparse(ids []uint64) ([][]byte, error)
-}
-
-// fetchProfilesSparse runs the gap-tolerant read when the node supports
-// it, degrading to the strict read otherwise.
-func fetchProfilesSparse(n DynNode, ids []uint64) ([][]byte, error) {
-	if sf, ok := n.(sparseProfileFetcher); ok {
-		return sf.FetchProfilesSparse(ids)
-	}
-	return n.FetchProfiles(ids)
 }

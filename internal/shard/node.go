@@ -37,6 +37,9 @@ type Node interface {
 	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, err error)
 	// FetchProfiles returns encrypted profiles stored on this shard.
 	FetchProfiles(ids []uint64) ([][]byte, error)
+	// FetchProfilesSparse is FetchProfiles with gap tolerance: an unknown
+	// id answers as an empty entry instead of failing the whole batch.
+	FetchProfilesSparse(ids []uint64) ([][]byte, error)
 	// PutProfiles uploads encrypted profiles to this shard.
 	PutProfiles(profiles map[uint64][]byte) error
 	// DeleteProfile removes an encrypted profile from this shard.
@@ -48,25 +51,6 @@ type Node interface {
 	// BucketStore exposes the shard's dynamic buckets so a core.DynClient
 	// can route secure insert/delete protocols to the owning shard.
 	core.BucketStore
-}
-
-// SparseProfileFetcher is the optional gap-tolerant profile read the
-// subscription re-score fan-out prefers: an unknown identifier answers as
-// an empty entry instead of failing the whole batch. Local, Remote and
-// ReplicaGroup implement it; FetchProfilesSparse falls back to the strict
-// read on nodes that do not.
-type SparseProfileFetcher interface {
-	FetchProfilesSparse(ids []uint64) ([][]byte, error)
-}
-
-// FetchProfilesSparse runs the gap-tolerant batched profile read against
-// n, degrading to the strict FetchProfiles (whole-batch failure on any
-// unknown id) when n does not implement SparseProfileFetcher.
-func FetchProfilesSparse(n Node, ids []uint64) ([][]byte, error) {
-	if sf, ok := n.(SparseProfileFetcher); ok {
-		return sf.FetchProfilesSparse(ids)
-	}
-	return n.FetchProfiles(ids)
 }
 
 // ReplicaNode is the surface a replica group needs from each of its
@@ -117,8 +101,7 @@ func (l Local) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64
 // FetchProfiles implements Node.
 func (l Local) FetchProfiles(ids []uint64) ([][]byte, error) { return l.CS.FetchProfiles(ids) }
 
-// FetchProfilesSparse implements SparseProfileFetcher: unknown ids answer
-// as empty entries instead of failing the batch.
+// FetchProfilesSparse implements Node.
 func (l Local) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 	return l.CS.FetchProfilesSparse(ids)
 }

@@ -214,7 +214,7 @@ func (r *Remote) do(fn func(c *transport.Client) error) error {
 
 // Ping implements Node.
 func (r *Remote) Ping(ctx context.Context) error {
-	return r.do(func(c *transport.Client) error { return c.PingContext(ctx) })
+	return r.do(func(c *transport.Client) error { return c.Ping(ctx) })
 }
 
 // SecRecBatch implements Node.
@@ -223,7 +223,7 @@ func (r *Remote) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint
 	var profiles [][][]byte
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		ids, profiles, err = c.SecRecBatchContext(ctx, ts)
+		ids, profiles, err = c.SecRecBatch(ctx, ts)
 		return err
 	})
 	return ids, profiles, err
@@ -234,18 +234,18 @@ func (r *Remote) FetchProfiles(ids []uint64) ([][]byte, error) {
 	var profiles [][]byte
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		profiles, err = c.FetchProfiles(ids)
+		profiles, err = c.FetchProfiles(context.TODO(), ids)
 		return err
 	})
 	return profiles, err
 }
 
-// FetchProfilesSparse implements SparseProfileFetcher remotely.
+// FetchProfilesSparse implements Node.
 func (r *Remote) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 	var profiles [][]byte
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		profiles, err = c.FetchProfilesSparse(ids)
+		profiles, err = c.FetchProfilesSparse(context.TODO(), ids)
 		return err
 	})
 	return profiles, err
@@ -253,22 +253,22 @@ func (r *Remote) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 
 // PutProfiles implements Node.
 func (r *Remote) PutProfiles(profiles map[uint64][]byte) error {
-	return r.do(func(c *transport.Client) error { return c.PutProfiles(profiles) })
+	return r.do(func(c *transport.Client) error { return c.PutProfiles(context.TODO(), profiles) })
 }
 
 // DeleteProfile implements Node.
 func (r *Remote) DeleteProfile(id uint64) error {
-	return r.do(func(c *transport.Client) error { return c.DeleteProfile(id) })
+	return r.do(func(c *transport.Client) error { return c.DeleteProfile(context.TODO(), id) })
 }
 
 // InstallIndex implements Node.
 func (r *Remote) InstallIndex(idx *core.Index) error {
-	return r.do(func(c *transport.Client) error { return c.InstallIndex(idx) })
+	return r.do(func(c *transport.Client) error { return c.InstallIndex(context.TODO(), idx) })
 }
 
 // InstallDynIndex implements Node.
 func (r *Remote) InstallDynIndex(idx *core.DynIndex) error {
-	return r.do(func(c *transport.Client) error { return c.InstallDynIndex(idx) })
+	return r.do(func(c *transport.Client) error { return c.InstallDynIndex(context.TODO(), idx) })
 }
 
 // FetchBuckets implements core.BucketStore.
@@ -276,7 +276,7 @@ func (r *Remote) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
 	var buckets []core.DynBucket
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		buckets, err = c.FetchBuckets(refs)
+		buckets, err = c.FetchBuckets(context.TODO(), refs)
 		return err
 	})
 	return buckets, err
@@ -284,7 +284,7 @@ func (r *Remote) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
 
 // StoreBuckets implements core.BucketStore.
 func (r *Remote) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
-	return r.do(func(c *transport.Client) error { return c.StoreBuckets(refs, buckets) })
+	return r.do(func(c *transport.Client) error { return c.StoreBuckets(context.TODO(), refs, buckets) })
 }
 
 // Version implements ReplicaNode.
@@ -292,7 +292,7 @@ func (r *Remote) Version(ctx context.Context) (uint64, error) {
 	var v uint64
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		v, err = c.VersionContext(ctx)
+		v, err = c.Version(ctx)
 		return err
 	})
 	return v, err
@@ -300,12 +300,12 @@ func (r *Remote) Version(ctx context.Context) (uint64, error) {
 
 // ApplyVersion implements ReplicaNode.
 func (r *Remote) ApplyVersion(v uint64) error {
-	return r.do(func(c *transport.Client) error { return c.ApplyVersion(v) })
+	return r.do(func(c *transport.Client) error { return c.ApplyVersion(context.TODO(), v) })
 }
 
 // StoreBucketsVersioned implements ReplicaNode.
 func (r *Remote) StoreBucketsVersioned(refs []core.BucketRef, buckets []core.DynBucket, v uint64) error {
-	return r.do(func(c *transport.Client) error { return c.StoreBucketsVersioned(refs, buckets, v) })
+	return r.do(func(c *transport.Client) error { return c.StoreBucketsVersioned(context.TODO(), refs, buckets, v) })
 }
 
 // ProfileIDs implements ReplicaNode.
@@ -313,7 +313,7 @@ func (r *Remote) ProfileIDs() ([]uint64, error) {
 	var ids []uint64
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		ids, err = c.ProfileIDs()
+		ids, err = c.ProfileIDs(context.TODO())
 		return err
 	})
 	return ids, err

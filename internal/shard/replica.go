@@ -355,17 +355,11 @@ func (g *ReplicaGroup) FetchProfiles(ids []uint64) ([][]byte, error) {
 	})
 }
 
-// FetchProfilesSparse implements SparseProfileFetcher on the healthiest
-// current replica, failing over like every group read. A member that does
-// not itself implement the sparse read serves the strict one — reads only
-// ever reach current replicas, so the two differ only on identifiers
-// deleted group-wide, exactly the gap the sparse contract tolerates.
+// FetchProfilesSparse implements Node on the healthiest current replica,
+// failing over like every group read.
 func (g *ReplicaGroup) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 	return readGroup(g, nil, func(_ context.Context, n ReplicaNode) ([][]byte, error) {
-		if sf, ok := n.(SparseProfileFetcher); ok {
-			return sf.FetchProfilesSparse(ids)
-		}
-		return n.FetchProfiles(ids)
+		return n.FetchProfilesSparse(ids)
 	})
 }
 

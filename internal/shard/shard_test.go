@@ -528,13 +528,17 @@ func TestDynShardedSearchAndUpdate(t *testing.T) {
 	f := testFrontend(t, "shard-dyn")
 	uploads, ds := testUploads(t, f, n)
 	dynShards, nodes, pool := dynSetup(t, f, uploads, shards)
+	serving, err := f.NewDynServing(dynShards, nodes, pool.Owner, frontend.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Insert a brand-new user whose profile clones an existing one: it
 	// must surface in sharded search results.
 	newID := uint64(n + 100)
 	profile := ds.Profiles[3]
-	if err := f.DynInsertSharded(dynShards, nodes, pool.Owner, newID, profile); err != nil {
-		t.Fatalf("DynInsertSharded: %v", err)
+	if err := serving.Insert(newID, profile); err != nil {
+		t.Fatalf("Insert: %v", err)
 	}
 	matches, partial, err := f.DynSearchSharded(dynShards, nodes, profile, 10, 0)
 	if err != nil {
@@ -553,8 +557,8 @@ func TestDynShardedSearchAndUpdate(t *testing.T) {
 		t.Fatalf("inserted user %d not in matches %v", newID, matches)
 	}
 
-	if err := f.DynDeleteSharded(dynShards, nodes, pool.Owner, newID, profile); err != nil {
-		t.Fatalf("DynDeleteSharded: %v", err)
+	if err := serving.Delete(newID, profile); err != nil {
+		t.Fatalf("Delete: %v", err)
 	}
 	matches, _, err = f.DynSearchSharded(dynShards, nodes, profile, 10, 0)
 	if err != nil {
@@ -609,11 +613,16 @@ func TestInsertToDeadShardErrors(t *testing.T) {
 		}
 	}
 
+	serving, err := f.NewDynServing(dynShards, nodes, pool.Owner, frontend.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	newID := uint64(n + 50)
 	dead := pool.Owner(newID)
 	shutdownServer(t, servers[dead])
 
-	err = f.DynInsertSharded(dynShards, nodes, pool.Owner, newID, ds.Profiles[0])
+	err = serving.Insert(newID, ds.Profiles[0])
 	if err == nil {
 		t.Fatal("insert to dead owning shard succeeded")
 	}
@@ -632,9 +641,11 @@ func TestInsertToDeadShardErrors(t *testing.T) {
 }
 
 // TestConcurrentFanoutAndInserts races concurrent fan-out queries (static
-// pool SecRec and dynamic sharded search) against concurrent dynamic
-// inserts. Run under -race this validates the locking story: per-shard
-// DynClients, the pool, and the cloud servers are all shared.
+// pool SecRec and cached dynamic search) against concurrent dynamic
+// inserts through one shared DynServing. Run under -race this validates
+// the locking story: per-shard DynClients, the pool, the cloud servers
+// and the result cache — filled by searches, invalidated by inserts — are
+// all shared.
 func TestConcurrentFanoutAndInserts(t *testing.T) {
 	const n, shards = 240, 4
 
@@ -642,6 +653,10 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 	uploads, ds := testUploads(t, f, n)
 	pool := localPool(t, f, uploads, shards)
 	dynShards, dynNodes, dynPool := dynSetup(t, f, uploads, shards)
+	serving, err := f.NewDynServing(dynShards, dynNodes, dynPool.Owner, frontend.ServingConfig{CacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	queries, _ := ds.Queries(8, 21)
 	var wg sync.WaitGroup
@@ -657,7 +672,7 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 					errCh <- fmt.Errorf("static worker %d: %w", w, err)
 					return
 				}
-				if _, _, err := f.DynSearchSharded(dynShards, dynNodes, q, 5, 0); err != nil {
+				if _, _, err := serving.Search(q, 5, 0); err != nil {
 					errCh <- fmt.Errorf("dyn search worker %d: %w", w, err)
 					return
 				}
@@ -671,7 +686,7 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				id := uint64(n + 1 + w*100 + i)
 				profile := ds.Profiles[(w*5+i)%len(ds.Profiles)]
-				if err := f.DynInsertSharded(dynShards, dynNodes, dynPool.Owner, id, profile); err != nil {
+				if err := serving.Insert(id, profile); err != nil {
 					errCh <- fmt.Errorf("insert worker %d: %w", w, err)
 					return
 				}

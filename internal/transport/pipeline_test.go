@@ -25,10 +25,10 @@ func TestPipelinedDiscoveriesShareOneClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallIndex(idx); err != nil {
+	if err := client.InstallIndex(context.Background(), idx); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := client.PutProfiles(context.Background(), encProfiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,19 +121,19 @@ func TestLateResponseSkippedByID(t *testing.T) {
 	client.SetTimeout(100 * time.Millisecond)
 
 	// First call times out; its response is still in flight.
-	if err := client.Ping(); err == nil {
+	if err := client.Ping(context.Background()); err == nil {
 		t.Fatal("ping answered late succeeded")
 	} else if !IsConnError(err) {
 		t.Fatalf("timeout surfaced %T (%v), want *ConnError", err, err)
 	}
 	// Second call must get ITS response, not the abandoned call's.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after timed-out call: %v", err)
 	}
 	// Let the stale response for the first request arrive and be dropped,
 	// then prove the connection is still healthy.
 	time.Sleep(450 * time.Millisecond)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after stale response arrived: %v", err)
 	}
 }
@@ -148,10 +148,10 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallIndex(idx); err != nil {
+	if err := client.InstallIndex(context.Background(), idx); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := client.PutProfiles(context.Background(), encProfiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,7 +159,7 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, profiles, err := client.SecRecBatchContext(context.Background(), tds)
+	ids, profiles, err := client.SecRecBatch(context.Background(), tds)
 	if err != nil {
 		t.Fatalf("SecRecBatch: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 		}
 	}
 	// Empty batch is a no-op, not an error.
-	if _, _, err := client.SecRecBatchContext(context.Background(), nil); err != nil {
+	if _, _, err := client.SecRecBatch(context.Background(), nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }

@@ -15,15 +15,11 @@ const (
 	MethodProfileIDs = "ProfileIDs"
 )
 
-// Version returns the server's last recorded replication write version.
-func (c *Client) Version() (uint64, error) {
-	return c.VersionContext(context.Background())
-}
-
-// VersionContext is Version bounded by ctx — the probe a health checker
-// uses to detect a replica that restarted (version 0) or missed writes.
-func (c *Client) VersionContext(ctx context.Context) (uint64, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodVersion})
+// Version returns the server's last recorded replication write version —
+// the probe a health checker uses to detect a replica that restarted
+// (version 0) or missed writes.
+func (c *Client) Version(ctx context.Context) (uint64, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodVersion})
 	if err != nil {
 		return 0, err
 	}
@@ -31,38 +27,23 @@ func (c *Client) VersionContext(ctx context.Context) (uint64, error) {
 }
 
 // ApplyVersion records a write version on the server (monotonic max).
-func (c *Client) ApplyVersion(v uint64) error {
-	return c.ApplyVersionContext(context.Background(), v)
-}
-
-// ApplyVersionContext is ApplyVersion bounded by ctx.
-func (c *Client) ApplyVersionContext(ctx context.Context, v uint64) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodSetVersion, Version: v})
+func (c *Client) ApplyVersion(ctx context.Context, v uint64) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodSetVersion, Version: v})
 	return err
 }
 
 // StoreBucketsVersioned stores buckets and records the write version in
 // one atomic exchange, so a concurrent version probe never observes the
 // version ahead of the bucket data.
-func (c *Client) StoreBucketsVersioned(refs []core.BucketRef, buckets []core.DynBucket, v uint64) error {
-	return c.StoreBucketsVersionedContext(context.Background(), refs, buckets, v)
-}
-
-// StoreBucketsVersionedContext is StoreBucketsVersioned bounded by ctx.
-func (c *Client) StoreBucketsVersionedContext(ctx context.Context, refs []core.BucketRef, buckets []core.DynBucket, v uint64) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets, Version: v})
+func (c *Client) StoreBucketsVersioned(ctx context.Context, refs []core.BucketRef, buckets []core.DynBucket, v uint64) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets, Version: v})
 	return err
 }
 
 // ProfileIDs lists the identifiers of every encrypted profile the server
 // stores, ascending — the repair endpoint for mirroring profile stores.
-func (c *Client) ProfileIDs() ([]uint64, error) {
-	return c.ProfileIDsContext(context.Background())
-}
-
-// ProfileIDsContext is ProfileIDs bounded by ctx.
-func (c *Client) ProfileIDsContext(ctx context.Context) ([]uint64, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodProfileIDs})
+func (c *Client) ProfileIDs(ctx context.Context) ([]uint64, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodProfileIDs})
 	if err != nil {
 		return nil, err
 	}

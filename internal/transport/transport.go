@@ -503,10 +503,6 @@ type Client struct {
 	recvBytes atomic.Int64
 }
 
-// Compile-time checks: the client presents the same surfaces as the
-// in-process cloud server.
-var _ core.BucketStore = (*Client)(nil)
-
 // Dial connects to a transport server. A failed dial returns a ConnError.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, nil)
@@ -539,9 +535,8 @@ func DialWith(addr string, dial Dialer) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // SetTimeout bounds how long every subsequent call waits for its response;
-// zero disables the bound. Per-call context deadlines (the ...Context
-// variants) compose with this connection-global bound: the earlier
-// deadline wins. A timed-out call fails with a ConnError but leaves the
+// zero disables the bound. Each call's context deadline composes with
+// this connection-global bound: the earlier deadline wins. A timed-out call fails with a ConnError but leaves the
 // multiplexed connection fully usable — the late response is discarded by
 // its request ID when it eventually arrives.
 func (c *Client) SetTimeout(d time.Duration) {
@@ -609,17 +604,12 @@ func (c *Client) forget(id uint64) {
 	c.mu.Unlock()
 }
 
-// call performs one exchange without a per-call deadline.
-func (c *Client) call(req *Request) (*Response, error) {
-	return c.callContext(context.Background(), req)
-}
-
-// callContext performs one pipelined exchange bounded by ctx and the
+// roundTrip performs one pipelined exchange bounded by ctx and the
 // connection-global timeout (earlier wins). The request frame is written
 // immediately — concurrent calls interleave on the connection — and the
 // caller waits only for its own response. Expiry or cancellation abandons
 // the call without disturbing the connection.
-func (c *Client) callContext(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &ConnError{Op: "call", Err: err}
 	}
@@ -681,35 +671,20 @@ func (c *Client) callContext(ctx context.Context, req *Request) (*Response, erro
 }
 
 // InstallIndex outsources a freshly built static index to the cloud.
-func (c *Client) InstallIndex(idx *core.Index) error {
-	return c.InstallIndexContext(context.Background(), idx)
-}
-
-// InstallIndexContext is InstallIndex bounded by ctx.
-func (c *Client) InstallIndexContext(ctx context.Context, idx *core.Index) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodInstallIndex, Index: idx})
+func (c *Client) InstallIndex(ctx context.Context, idx *core.Index) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodInstallIndex, Index: idx})
 	return err
 }
 
 // InstallDynIndex outsources a dynamic index to the cloud.
-func (c *Client) InstallDynIndex(idx *core.DynIndex) error {
-	return c.InstallDynIndexContext(context.Background(), idx)
-}
-
-// InstallDynIndexContext is InstallDynIndex bounded by ctx.
-func (c *Client) InstallDynIndexContext(ctx context.Context, idx *core.DynIndex) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodInstallDyn, DynIndex: idx})
+func (c *Client) InstallDynIndex(ctx context.Context, idx *core.DynIndex) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodInstallDyn, DynIndex: idx})
 	return err
 }
 
 // Ping checks liveness.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
-}
-
-// PingContext is Ping bounded by ctx.
-func (c *Client) PingContext(ctx context.Context) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodPing})
+func (c *Client) Ping(ctx context.Context) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodPing})
 	return err
 }
 
@@ -722,14 +697,14 @@ func (c *Client) PingContext(ctx context.Context) error {
 // on the multiplexed connection is strictly faster than one giant frame.
 const maxBatchPerRPC = 8
 
-// SecRecBatchContext resolves q trapdoors remotely, bounded by ctx, one
+// SecRecBatch resolves q trapdoors remotely, bounded by ctx, one
 // result per trapdoor. Large batches are split into sub-batches of
 // maxBatchPerRPC queries issued concurrently over the shared connection,
 // so the server streams bounded response messages instead of one giant
 // frame.
-func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
+func (c *Client) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	if len(ts) <= maxBatchPerRPC {
-		resp, err := c.callContext(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts})
+		resp, err := c.roundTrip(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -750,7 +725,7 @@ func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			resp, err := c.callContext(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts[lo:hi]})
+			resp, err := c.roundTrip(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts[lo:hi]})
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
 				return
@@ -773,14 +748,10 @@ func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([
 	return ids, profiles, nil
 }
 
-// FetchProfiles implements frontend.ProfileFetcher remotely.
-func (c *Client) FetchProfiles(ids []uint64) ([][]byte, error) {
-	return c.FetchProfilesContext(context.Background(), ids)
-}
-
-// FetchProfilesContext is FetchProfiles bounded by ctx.
-func (c *Client) FetchProfilesContext(ctx context.Context, ids []uint64) ([][]byte, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodFetchProfiles, IDs: ids})
+// FetchProfiles returns the encrypted profiles of ids; any unknown id
+// fails the whole batch.
+func (c *Client) FetchProfiles(ctx context.Context, ids []uint64) ([][]byte, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodFetchProfiles, IDs: ids})
 	if err != nil {
 		return nil, err
 	}
@@ -791,8 +762,8 @@ func (c *Client) FetchProfilesContext(ctx context.Context, ids []uint64) ([][]by
 // identifiers answer as empty entries instead of failing the batch. Gob
 // flattens a nil entry to an empty one, so absence is signalled by
 // len(out[i]) == 0 at every tier (present ciphertexts are never empty).
-func (c *Client) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
-	resp, err := c.callContext(context.Background(), &Request{Method: MethodFetchProfilesSparse, IDs: ids})
+func (c *Client) FetchProfilesSparse(ctx context.Context, ids []uint64) ([][]byte, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodFetchProfilesSparse, IDs: ids})
 	if err != nil {
 		return nil, err
 	}
@@ -806,61 +777,41 @@ func (c *Client) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 }
 
 // PutProfiles uploads encrypted profiles.
-func (c *Client) PutProfiles(profiles map[uint64][]byte) error {
-	return c.PutProfilesContext(context.Background(), profiles)
-}
-
-// PutProfilesContext is PutProfiles bounded by ctx.
-func (c *Client) PutProfilesContext(ctx context.Context, profiles map[uint64][]byte) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodPutProfile, Profiles: profiles})
+func (c *Client) PutProfiles(ctx context.Context, profiles map[uint64][]byte) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodPutProfile, Profiles: profiles})
 	return err
 }
 
 // DeleteProfile removes an encrypted profile.
-func (c *Client) DeleteProfile(id uint64) error {
-	return c.DeleteProfileContext(context.Background(), id)
-}
-
-// DeleteProfileContext is DeleteProfile bounded by ctx.
-func (c *Client) DeleteProfileContext(ctx context.Context, id uint64) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodDeleteProfile, UserID: id})
+func (c *Client) DeleteProfile(ctx context.Context, id uint64) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodDeleteProfile, UserID: id})
 	return err
 }
 
-// FetchBuckets implements core.BucketStore remotely.
-func (c *Client) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
-	return c.FetchBucketsContext(context.Background(), refs)
-}
-
-// FetchBucketsContext is FetchBuckets bounded by ctx.
-func (c *Client) FetchBucketsContext(ctx context.Context, refs []core.BucketRef) ([]core.DynBucket, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodFetchBuckets, Refs: refs})
+// FetchBuckets fetches dynamic buckets by reference.
+func (c *Client) FetchBuckets(ctx context.Context, refs []core.BucketRef) ([]core.DynBucket, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodFetchBuckets, Refs: refs})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Buckets, nil
 }
 
-// StoreBuckets implements core.BucketStore remotely.
-func (c *Client) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
-	return c.StoreBucketsContext(context.Background(), refs, buckets)
-}
-
-// StoreBucketsContext is StoreBuckets bounded by ctx.
-func (c *Client) StoreBucketsContext(ctx context.Context, refs []core.BucketRef, buckets []core.DynBucket) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets})
+// StoreBuckets writes re-sealed dynamic buckets back.
+func (c *Client) StoreBuckets(ctx context.Context, refs []core.BucketRef, buckets []core.DynBucket) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets})
 	return err
 }
 
 // StoreImage uploads one encrypted image blob for a user.
-func (c *Client) StoreImage(userID uint64, blob []byte) error {
-	_, err := c.call(&Request{Method: MethodStoreImage, UserID: userID, Blob: blob})
+func (c *Client) StoreImage(ctx context.Context, userID uint64, blob []byte) error {
+	_, err := c.roundTrip(ctx, &Request{Method: MethodStoreImage, UserID: userID, Blob: blob})
 	return err
 }
 
 // FetchImages downloads a user's encrypted images.
-func (c *Client) FetchImages(userID uint64) ([][]byte, error) {
-	resp, err := c.call(&Request{Method: MethodFetchImages, UserID: userID})
+func (c *Client) FetchImages(ctx context.Context, userID uint64) ([][]byte, error) {
+	resp, err := c.roundTrip(ctx, &Request{Method: MethodFetchImages, UserID: userID})
 	if err != nil {
 		return nil, err
 	}

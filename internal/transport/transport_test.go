@@ -78,7 +78,7 @@ func testUploads(t *testing.T, f *frontend.Frontend, n int) ([]frontend.Upload, 
 
 func TestPing(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestPing(t *testing.T) {
 type oneNode struct{ c *Client }
 
 func (n oneNode) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
-	ids, profiles, err := n.c.SecRecBatchContext(ctx, ts)
+	ids, profiles, err := n.c.SecRecBatch(ctx, ts)
 	return ids, profiles, false, err
 }
 
@@ -100,10 +100,10 @@ func TestRemoteEndToEndDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallIndex(idx); err != nil {
+	if err := client.InstallIndex(context.Background(), idx); err != nil {
 		t.Fatalf("InstallIndex: %v", err)
 	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := client.PutProfiles(context.Background(), encProfiles); err != nil {
 		t.Fatalf("PutProfiles: %v", err)
 	}
 	matches, _, err := f.Discover(context.Background(), oneNode{client}, ds.Profiles[2], 5, 0)
@@ -115,21 +115,48 @@ func TestRemoteEndToEndDiscovery(t *testing.T) {
 	}
 }
 
+// dynNode serves a client as the one-shard dynamic node.
+type dynNode struct{ c *Client }
+
+func (n dynNode) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
+	return n.c.FetchBuckets(context.Background(), refs)
+}
+
+func (n dynNode) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
+	return n.c.StoreBuckets(context.Background(), refs, buckets)
+}
+
+func (n dynNode) FetchProfiles(ids []uint64) ([][]byte, error) {
+	return n.c.FetchProfiles(context.Background(), ids)
+}
+
+func (n dynNode) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
+	return n.c.FetchProfilesSparse(context.Background(), ids)
+}
+
+func (n dynNode) PutProfiles(profiles map[uint64][]byte) error {
+	return n.c.PutProfiles(context.Background(), profiles)
+}
+
+func (n dynNode) DeleteProfile(id uint64) error {
+	return n.c.DeleteProfile(context.Background(), id)
+}
+
 func TestRemoteDynamicFlow(t *testing.T) {
 	_, client := startServer(t)
 	f := testFrontend(t)
 	uploads, ds := testUploads(t, f, 200)
-	idx, dynClient, encProfiles, err := f.BuildDynamicIndex(uploads)
+	parts, err := f.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.InstallDynIndex(idx); err != nil {
+	if err := client.InstallDynIndex(context.Background(), parts[0].Index); err != nil {
 		t.Fatalf("InstallDynIndex: %v", err)
 	}
-	if err := client.PutProfiles(encProfiles); err != nil {
+	if err := client.PutProfiles(context.Background(), parts[0].EncProfiles); err != nil {
 		t.Fatal(err)
 	}
-	shards, nodes := []frontend.DynShard{{Client: dynClient}}, []frontend.DynNode{client}
+	shards, nodes := parts, []frontend.DynNode{dynNode{client}}
 	matches, _, err := f.DynSearchSharded(shards, nodes, ds.Profiles[4], 5, 0)
 	if err != nil {
 		t.Fatalf("DynSearchSharded over TCP: %v", err)
@@ -138,11 +165,12 @@ func TestRemoteDynamicFlow(t *testing.T) {
 		t.Fatalf("remote dynamic results: %+v", matches)
 	}
 	// Remote secure deletion.
-	if err := dynClient.Delete(client, 5, f.ComputeMeta(ds.Profiles[4])); err != nil {
-		t.Fatalf("remote Delete: %v", err)
-	}
-	if err := client.DeleteProfile(5); err != nil {
+	serving, err := f.NewDynServing(shards, nodes, nil, frontend.ServingConfig{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := serving.Delete(5, ds.Profiles[4]); err != nil {
+		t.Fatalf("remote Delete: %v", err)
 	}
 	matches, _, err = f.DynSearchSharded(shards, nodes, ds.Profiles[4], 5, 0)
 	if err != nil {
@@ -157,13 +185,13 @@ func TestRemoteDynamicFlow(t *testing.T) {
 
 func TestRemoteImages(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.StoreImage(9, []byte("enc-image-1")); err != nil {
+	if err := client.StoreImage(context.Background(), 9, []byte("enc-image-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.StoreImage(9, []byte("enc-image-2")); err != nil {
+	if err := client.StoreImage(context.Background(), 9, []byte("enc-image-2")); err != nil {
 		t.Fatal(err)
 	}
-	blobs, err := client.FetchImages(9)
+	blobs, err := client.FetchImages(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,18 +203,18 @@ func TestRemoteImages(t *testing.T) {
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, client := startServer(t)
 	// No index installed: SecRecBatch must fail with the server's message.
-	_, _, err := client.SecRecBatchContext(context.Background(), []*core.Trapdoor{{}})
+	_, _, err := client.SecRecBatch(context.Background(), []*core.Trapdoor{{}})
 	if err == nil || !strings.Contains(err.Error(), "no index") {
 		t.Errorf("SecRecBatch error = %v", err)
 	}
-	if _, err := client.FetchProfiles([]uint64{42}); err == nil {
+	if _, err := client.FetchProfiles(context.Background(), []uint64{42}); err == nil {
 		t.Error("unknown profile fetch accepted")
 	}
 }
 
 func TestTrafficAccounting(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sent, recv := client.Traffic()
@@ -316,10 +344,11 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 func TestDynIndexCodecRoundTrip(t *testing.T) {
 	f := testFrontend(t)
 	uploads, _ := testUploads(t, f, 80)
-	idx, _, _, err := f.BuildDynamicIndex(uploads)
+	parts, err := f.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := parts[0].Index
 	blob, err := idx.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +401,7 @@ func TestClientTimeout(t *testing.T) {
 	defer client.Close()
 	client.SetTimeout(150 * time.Millisecond)
 	start := time.Now()
-	if err := client.Ping(); err == nil {
+	if err := client.Ping(context.Background()); err == nil {
 		t.Fatal("ping against silent server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -402,7 +431,7 @@ func TestConnErrorOnServerClosedMidCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	err = client.Ping()
+	err = client.Ping(context.Background())
 	if err == nil {
 		t.Fatal("ping against closing server succeeded")
 	}
@@ -435,7 +464,7 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	err = client.Ping()
+	err = client.Ping(context.Background())
 	if err == nil {
 		t.Fatal("ping over truncated frame succeeded")
 	}
@@ -450,7 +479,7 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 
 func TestRemoteErrorIsNotConnError(t *testing.T) {
 	_, client := startServer(t)
-	_, _, err := client.SecRecBatchContext(context.Background(), []*core.Trapdoor{{}})
+	_, _, err := client.SecRecBatch(context.Background(), []*core.Trapdoor{{}})
 	if err == nil {
 		t.Fatal("SecRecBatch without index succeeded")
 	}
@@ -462,7 +491,7 @@ func TestRemoteErrorIsNotConnError(t *testing.T) {
 		t.Error("application failure classified as connection error")
 	}
 	// The connection must stay healthy after a RemoteError.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Errorf("ping after RemoteError: %v", err)
 	}
 }
@@ -492,7 +521,7 @@ func TestContextDeadlineBoundsCall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = client.PingContext(ctx)
+	err = client.Ping(ctx)
 	if err == nil {
 		t.Fatal("ping against silent server succeeded")
 	}
@@ -533,7 +562,7 @@ func TestContextCancelInterruptsCall(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = client.PingContext(ctx)
+	err = client.Ping(ctx)
 	if err == nil {
 		t.Fatal("cancelled ping succeeded")
 	}
@@ -549,13 +578,13 @@ func TestContextPreCancelledFailsFast(t *testing.T) {
 	_, client := startServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := client.PingContext(ctx); err == nil {
+	if err := client.Ping(ctx); err == nil {
 		t.Fatal("pre-cancelled context accepted")
 	} else if !IsConnError(err) {
 		t.Errorf("pre-cancelled call surfaced %T, want *ConnError", err)
 	}
 	// The stream was never touched; the client must still work.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Errorf("ping after pre-cancelled call: %v", err)
 	}
 }

@@ -261,15 +261,15 @@ func TestLeakageInvariantSharded(t *testing.T) {
 // fetches exactly the same number again.
 func TestLeakageInvariantDynamic(t *testing.T) {
 	sf, ds, uploads := leakageFixture(t, "leakage-dynamic")
-	dynIdx, dynClient, dynProfiles, err := sf.BuildDynamicIndex(uploads)
+	parts, err := sf.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := pisd.NewCloud()
 	reg := obs.NewRegistry()
 	cs.SetRegistry(reg)
-	cs.SetDynIndex(dynIdx)
-	cs.PutProfiles(dynProfiles)
+	cs.SetDynIndex(parts[0].Index)
+	cs.PutProfiles(parts[0].EncProfiles)
 
 	p, err := sf.IndexParams()
 	if err != nil {
@@ -281,8 +281,8 @@ func TestLeakageInvariantDynamic(t *testing.T) {
 		fetched := make([]int64, 2)
 		for round := range fetched {
 			before := counters(reg)
-			shards, nodes := []pisd.DynShard{{Client: dynClient}}, []pisd.DynNode{pisd.NewLocalShard(cs)}
-			if _, _, err := sf.DynSearchSharded(shards, nodes, ds.Profiles[id-1], 5, id); err != nil {
+			nodes := []pisd.DynNode{pisd.NewLocalShard(cs)}
+			if _, _, err := sf.DynSearchSharded(parts, nodes, ds.Profiles[id-1], 5, id); err != nil {
 				t.Fatal(err)
 			}
 			after := counters(reg)
@@ -439,6 +439,13 @@ func (d *downReplica) FetchProfiles(ids []uint64) ([][]byte, error) {
 		return nil, err
 	}
 	return d.ReplicaNode.FetchProfiles(ids)
+}
+
+func (d *downReplica) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
+	if err := d.offline(); err != nil {
+		return nil, err
+	}
+	return d.ReplicaNode.FetchProfilesSparse(ids)
 }
 
 // TestLeakageInvariantReplicated pins the access-pattern guarantee for the

@@ -98,7 +98,8 @@ type (
 	// Shard is one cloud shard's installable state (partitioned index +
 	// owned encrypted profiles).
 	Shard = frontend.Shard
-	// DynShard is one cloud shard's dynamic state.
+	// DynShard is one cloud shard's dynamic state; a single cloud is the
+	// one-shard build Frontend.BuildShardedDynamicIndex(uploads, 1, nil).
 	DynShard = frontend.DynShard
 	// DynNode is one shard's cloud surface for the dynamic scheme;
 	// LocalShard, RemoteShard and ReplicaGroup all implement it.
@@ -135,7 +136,8 @@ type (
 	// bounded online chunks.
 	Rebalancer = shard.Rebalancer
 	// RepairNode is the replica surface the front end's repair closures
-	// drive; ReplicaNode satisfies it.
+	// drive: a DynNode plus profile enumeration and index install;
+	// ReplicaNode satisfies it.
 	RepairNode = frontend.RepairNode
 	// ReplicaMigration is the front-end closure set a Rebalancer drives.
 	ReplicaMigration = frontend.ReplicaMigration
@@ -161,8 +163,9 @@ type (
 	// gate → search-pattern result cache → adaptive batch coalescer over
 	// the shard fan-out (build with Frontend.NewServing).
 	Serving = frontend.Serving
-	// DynServing is the dynamic scheme's cached serving path with exact
-	// cache invalidation on insert/delete (Frontend.NewDynServing).
+	// DynServing is the dynamic scheme's one search path and only
+	// insert/delete entry point, with an optional result cache that
+	// insert/delete invalidate exactly (Frontend.NewDynServing).
 	DynServing = frontend.DynServing
 	// ServingConfig tunes coalescing, admission control and the cache.
 	ServingConfig = frontend.ServingConfig

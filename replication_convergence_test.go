@@ -93,6 +93,14 @@ func (c *chaosReplica) FetchProfiles(ids []uint64) ([][]byte, error) {
 	return n.FetchProfiles(ids)
 }
 
+func (c *chaosReplica) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
+	n, err := c.get()
+	if err != nil {
+		return nil, err
+	}
+	return n.FetchProfilesSparse(ids)
+}
+
 func (c *chaosReplica) PutProfiles(profiles map[uint64][]byte) error {
 	n, err := c.get()
 	if err != nil {
@@ -185,6 +193,7 @@ type convWorld struct {
 	shards   []frontend.DynShard
 	group    *shard.ReplicaGroup
 	nodes    []frontend.DynNode
+	serving  *frontend.DynServing
 	reps     []*chaosReplica
 	prober   *shard.Prober
 	repairer *shard.Repairer
@@ -255,6 +264,9 @@ func newConvWorld(t *testing.T, seed int64, replicas int) *convWorld {
 	}
 	w.group = g
 	w.nodes = []frontend.DynNode{g}
+	if w.serving, err = f.NewDynServing(built, w.nodes, nil, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	w.prober = shard.NewProber(shard.ProberConfig{DemoteAfter: 2, ReadmitAfter: 1}, g)
 	repair, err := frontend.NewReplicaRepair(built, 0)
 	if err != nil {
@@ -311,8 +323,7 @@ func (w *convWorld) insert() {
 	id := w.nextID
 	w.nextID++
 	profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-	owner := func(uint64) int { return 0 }
-	if err := w.f.DynInsertSharded(w.shards, w.nodes, owner, id, profile); err != nil {
+	if err := w.serving.Insert(id, profile); err != nil {
 		w.t.Fatalf("insert %d: %v", id, err)
 	}
 	w.profiles[id] = profile
@@ -330,8 +341,7 @@ func (w *convWorld) delete(rng *rand.Rand) {
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	id := ids[rng.Intn(len(ids))]
-	owner := func(uint64) int { return 0 }
-	if err := w.f.DynDeleteSharded(w.shards, w.nodes, owner, id, w.profiles[id]); err != nil {
+	if err := w.serving.Delete(id, w.profiles[id]); err != nil {
 		w.t.Fatalf("delete %d: %v", id, err)
 	}
 	delete(w.live, id)

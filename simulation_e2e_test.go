@@ -236,7 +236,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			w.nextID++
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
 			w.profiles[id] = profile
-			err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile)
+			err := w.serving.Insert(id, profile)
 			if err != nil {
 				if !isTransportFault(err) {
 					t.Fatalf("op %d: insert %d failed with non-transport error %T: %v", op, id, err, err)
@@ -252,7 +252,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			if id == 0 {
 				continue
 			}
-			err := w.f.DynDeleteSharded(w.shards, w.nodes, w.owner, id, w.profiles[id])
+			err := w.serving.Delete(id, w.profiles[id])
 			if err != nil {
 				if !isTransportFault(err) {
 					t.Fatalf("op %d: delete %d failed with non-transport error %T: %v", op, id, err, err)

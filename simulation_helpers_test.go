@@ -302,6 +302,8 @@ type dynWorld struct {
 	shards []frontend.DynShard
 	nodes  []frontend.DynNode
 	owner  func(uint64) int
+	// serving runs every insert and delete (uncached).
+	serving *frontend.DynServing
 
 	// Membership bookkeeping under faults. profiles holds every id ever
 	// attempted; certain / uncertain / deleted partition what we know.
@@ -396,6 +398,9 @@ func newDynWorld(t *testing.T, p simParams) *dynWorld {
 			t.Fatalf("PutProfiles(%d): %v", s, err)
 		}
 		w.nodes[s] = remote
+	}
+	if w.serving, err = f.NewDynServing(w.shards, w.nodes, w.owner, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	return w
 }

@@ -511,6 +511,8 @@ type repDynWorld struct {
 	repairer *shard.Repairer
 	reg      *obs.Registry
 	owner    func(uint64) int
+	// serving runs every insert and delete (uncached).
+	serving *frontend.DynServing
 
 	profiles map[uint64][]float64
 	live     map[uint64]bool
@@ -598,6 +600,9 @@ func newRepDynWorld(t *testing.T, p repParams) *repDynWorld {
 	w.repairer = shard.NewRepairer(shard.RepairerConfig{},
 		func(g int, src, dst shard.ReplicaNode) error { return repair(g, src, dst) },
 		w.groups...)
+	if w.serving, err = f.NewDynServing(w.shards, w.nodes, w.owner, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	return w
 }
 
@@ -662,7 +667,7 @@ func (w *repDynWorld) churn(rng *rand.Rand, n int) {
 			id := w.nextID
 			w.nextID++
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-			if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+			if err := w.serving.Insert(id, profile); err != nil {
 				w.t.Fatalf("churn op %d: insert %d: %v", op, id, err)
 			}
 			w.profiles[id] = profile
@@ -672,7 +677,7 @@ func (w *repDynWorld) churn(rng *rand.Rand, n int) {
 			if id == 0 {
 				continue
 			}
-			if err := w.f.DynDeleteSharded(w.shards, w.nodes, w.owner, id, w.profiles[id]); err != nil {
+			if err := w.serving.Delete(id, w.profiles[id]); err != nil {
 				w.t.Fatalf("churn op %d: delete %d: %v", op, id, err)
 			}
 			delete(w.live, id)
@@ -708,7 +713,7 @@ func (w *repDynWorld) insertOwned(s int) {
 		w.nextID++
 	}
 	profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-	if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+	if err := w.serving.Insert(id, profile); err != nil {
 		w.t.Fatalf("insert %d into group %d: %v", id, s, err)
 	}
 	w.profiles[id] = profile
@@ -943,7 +948,7 @@ func runRebalancePhase(t *testing.T, w *repDynWorld, rng *rand.Rand) {
 				w.nextID++
 			}
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-			if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+			if err := w.serving.Insert(id, profile); err != nil {
 				done <- fmt.Errorf("concurrent insert %d: %w", id, err)
 				return
 			}
